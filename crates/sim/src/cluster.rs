@@ -1,22 +1,24 @@
-//! Sharded cluster service: a front-end dispatcher, per-shard traffic
-//! engines, and gateway-stitched cross-shard multicast.
+//! Sharded cluster service: the crate's one traffic pipeline — a front-end
+//! dispatcher, per-shard planning, gateway-stitched cross-shard multicast
+//! and component-wise simulation.
 //!
-//! One [`TrafficEngine`](crate::sessions::TrafficEngine) plans and
-//! simulates every session against one flat pool; its per-session costs
-//! (class signatures, busy bookkeeping, one global event heap primed with
-//! every arrival) all scale with total cluster size. [`ShardedCluster`]
-//! is the service-shaped alternative for large pools:
+//! Every traffic run goes through [`ShardedCluster`]. The flat
+//! [`TrafficEngine`](crate::sessions::TrafficEngine) is this pipeline at
+//! one shard with plan caching off, projected into the flat report; with
+//! more shards it is the service-shaped pipeline for large pools:
 //!
 //! 1. **Dispatch** — a [`ShardMap`] partitions the pool into class-aware
-//!    shards; each [`SessionRequest`] is routed to the *home shard* of its
-//!    source. Sessions whose members stay inside the home shard are served
-//!    entirely by that shard.
+//!    shards; each [`SessionRequest`] is validated once and routed to the
+//!    *home shard* of its source. Sessions whose members stay inside the
+//!    home shard are served entirely by that shard.
 //! 2. **Per-shard planning** — every shard owns a
 //!    [`PlanContext`]/DP-cache and a *plan cache*: sessions reduce to their
-//!    shard-local class signature, and all sessions sharing a signature
-//!    reuse one planned tree shape (bound to their concrete nodes per
-//!    session). Deterministic planners only; a seeded planner bypasses the
-//!    plan cache.
+//!    class signature, and all sessions sharing a signature reuse one
+//!    planned tree shape (bound to their concrete nodes per session).
+//!    Deterministic planners only; a seeded planner bypasses the plan
+//!    cache. Shards share the pool's class table and number their nodes in
+//!    ascending global order within each class, so a signature — and the
+//!    node binding of its tree — is the same computed over global ids.
 //! 3. **Gateway stitching** — a session spanning shards is planned in two
 //!    levels: a *gateway tree* over one designated gateway per touched
 //!    shard (the source for the home shard; the fastest member, ties by
@@ -34,11 +36,12 @@
 //!    still split into independently simulable components and cross
 //!    traffic only merges the sessions it actually connects. Each
 //!    component compacts its nodes to a dense range and runs the crate's
-//!    one shared occupancy kernel (`kernel`, the same loop behind the flat
-//!    engine), so both surfaces obey a single documented same-instant
-//!    tie-break rule. Components fan out over rayon's real worker threads
-//!    and merge positionally, so the serialized report is byte-identical
-//!    at every thread count.
+//!    one shared occupancy kernel (`kernel`), so every surface obeys a
+//!    single documented same-instant tie-break rule. Node-disjoint
+//!    components cannot interact, so their outcomes equal one global pass.
+//!    Components fan out over rayon's real worker threads and merge
+//!    positionally, so the serialized report is byte-identical at every
+//!    thread count.
 //!
 //! The result is a [`ShardedTrafficReport`]: per-session records (with
 //! home shard and touched shards), per-shard and cross-shard aggregates
@@ -76,15 +79,18 @@
 //! would. These *epoch-synchronous* semantics are intentionally not the
 //! batch path's one-global-pass semantics — a session arriving in a later
 //! epoch cannot overtake work already committed, even if its arrival time
-//! precedes an earlier epoch's completion. Within one configuration the
-//! loop keeps the full determinism contract: byte-identical serialized
-//! reports per `(pool, config, requests)` at every thread count.
+//! precedes an earlier epoch's completion. The batch path runs the same
+//! component simulator from all-idle horizons. Within one configuration
+//! the loop keeps the full determinism contract: byte-identical
+//! serialized reports per `(pool, config, requests)` at every thread
+//! count.
 
+use crate::config::RunConfig;
 use crate::error::SimError;
 use crate::kernel;
 use crate::sessions::{
     bind_node_map, children_lists, record_for, CacheStats, ReliabilityReport, SessionRecord,
-    SessionRuntime, StreamingReport, TraceDest, TrafficConfig, TrafficMetrics,
+    SessionRuntime, StreamingReport, TraceDest, TrafficMetrics,
 };
 use hnow_control::{
     admit, find_policy, AdmissionDecision, AdmissionIntent, GatewayCandidate, GatewayPolicy,
@@ -94,7 +100,7 @@ use hnow_core::planner::{find, PlanContext, PlanRequest, Planner};
 use hnow_core::schedule::compose::compose;
 use hnow_core::{RepairPlacement, ScheduleTree};
 use hnow_model::{NetParams, NodeId, NodeSpec, Time, TypedMulticast};
-use hnow_telemetry::{Recorder, TelemetryConfig, TelemetryReport, TraceEvent, TraceEventKind};
+use hnow_telemetry::{PhaseProfiler, Recorder, TelemetryReport, TraceEvent, TraceEventKind};
 use hnow_workload::{NodePool, SessionRequest, ShardMap};
 
 pub use hnow_control::RebalanceConfig;
@@ -102,34 +108,6 @@ use rayon::prelude::*;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// Configuration of a [`ShardedCluster`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedClusterConfig {
-    /// Number of shards the pool is partitioned into.
-    pub shards: usize,
-    /// Per-shard engine configuration (planner, batch size, DP-cache
-    /// capacity). The same planner serves gateway trees.
-    pub traffic: TrafficConfig,
-    /// Whether per-shard plan caches reuse one planned tree shape across
-    /// sessions with the same class signature. Ignored (treated as `false`)
-    /// for planners that consume the request seed, whose plans are not a
-    /// pure function of the signature.
-    pub plan_cache: bool,
-    /// LRU capacity of each plan cache (`None` = unbounded). Evictions and
-    /// hit rates surface per shard in the report.
-    pub plan_cache_capacity: Option<usize>,
-    /// Online control plane; `None` runs the original batch pipeline.
-    pub control: Option<ControlConfig>,
-}
-
-impl ShardedClusterConfig {
-    /// Turns on the online control plane.
-    pub fn with_control(mut self, control: ControlConfig) -> Self {
-        self.control = Some(control);
-        self
-    }
-}
 
 /// Configuration of the online control loop (see the
 /// [module docs](self#the-control-plane)).
@@ -410,19 +388,44 @@ impl PlanCache {
         }
     }
 }
-/// `(request index, runtime)` pairs of the sessions a worker admitted or
-/// simulated.
-type IndexedRuntimes = Vec<(usize, SessionRuntime)>;
-/// One shard's admission outcome: its runtimes, DP context and plan cache.
-type ShardOutcome = Result<(IndexedRuntimes, PlanContext, PlanCache), SimError>;
 
-/// Routing metadata of one admitted session.
-struct Routing {
-    home: usize,
-    cross: bool,
-    /// Touched shards, home first, then ascending.
-    shards: Vec<usize>,
+/// Clock headroom a request's last chunk release must stay under: every
+/// later event adds overheads, latencies and repair backoffs to it.
+const RELEASE_HORIZON: u64 = u64::MAX / 4;
+
+/// The run's planning state: the registry planner, one DP context and plan
+/// cache per shard, and the dispatcher's own pair for gateway trees.
+struct PlanState {
+    planner: &'static dyn Planner,
+    /// Whether plan caches are consulted (never for seeded planners, whose
+    /// plans are not a pure function of the class signature).
+    caching: bool,
+    shard_ctxs: Vec<PlanContext>,
+    shard_caches: Vec<PlanCache>,
+    gateway_ctx: PlanContext,
+    gateway_cache: PlanCache,
 }
+
+impl PlanState {
+    /// Shard `s`'s DP context and, when caching, its plan cache.
+    fn shard(&mut self, s: usize) -> (&PlanContext, Option<&mut PlanCache>) {
+        (
+            &self.shard_ctxs[s],
+            self.caching.then_some(&mut self.shard_caches[s]),
+        )
+    }
+}
+
+/// A batch run after planning: every session's runtime (pool-global node
+/// ids) in request order, plus the planning state the report reads.
+pub(crate) struct Planned {
+    state: PlanState,
+    pub(crate) runtimes: Vec<SessionRuntime>,
+}
+
+/// One shard's batch-planning outcome: its runtimes in planning order, DP
+/// context and plan cache.
+type ShardOutcome = Result<(Vec<SessionRuntime>, PlanContext, PlanCache), SimError>;
 
 /// Plans and simulates session streams over a sharded pool. See the
 /// [module docs](self) for the architecture.
@@ -431,32 +434,23 @@ pub struct ShardedCluster<'a> {
     pool: &'a NodePool,
     map: ShardMap,
     net: NetParams,
-    config: ShardedClusterConfig,
-    threads: Option<usize>,
-    telemetry: Option<TelemetryConfig>,
+    config: RunConfig,
 }
 
 impl<'a> ShardedCluster<'a> {
-    /// Partitions `pool` per the unified
-    /// [`RunConfig`](crate::config::RunConfig) surface. A flat config
-    /// (`shards == 0`) is clamped to one shard, which reproduces the flat
-    /// engine behind a dispatcher.
+    /// Partitions `pool` per the unified [`RunConfig`] surface. A flat
+    /// config (`shards == 0`) is clamped to one shard.
     pub fn with_config(
         pool: &'a NodePool,
         net: NetParams,
-        config: &crate::config::RunConfig,
+        config: &RunConfig,
     ) -> Result<Self, SimError> {
-        let threads = config.threads;
-        let telemetry = config.telemetry.clone();
-        let config = config.cluster();
-        let map = ShardMap::partition(pool, config.shards).map_err(SimError::Sharding)?;
+        let map = ShardMap::partition(pool, config.shards.max(1)).map_err(SimError::Sharding)?;
         Ok(ShardedCluster {
             pool,
             map,
             net,
-            config,
-            threads,
-            telemetry,
+            config: config.clone(),
         })
     }
 
@@ -466,14 +460,14 @@ impl<'a> ShardedCluster<'a> {
     }
 
     /// Plans and simulates the given sessions (global node ids), returning
-    /// the merged report. With [`ShardedClusterConfig::control`] set, runs
-    /// the epoch-synchronous control loop instead of the batch pipeline.
-    /// With [`RunConfig::threads`](crate::config::RunConfig::threads)
-    /// pinned, the whole run executes on a dedicated rayon pool of that
-    /// size — the report is byte-identical at every thread count.
+    /// the merged report. With [`RunConfig::control`] set, runs the
+    /// epoch-synchronous control loop instead of the batch pipeline. With
+    /// [`RunConfig::threads`] pinned, the whole run executes on a dedicated
+    /// rayon pool of that size — the report is byte-identical at every
+    /// thread count.
     pub fn run(&self, requests: &[SessionRequest]) -> Result<ShardedTrafficReport, SimError> {
-        crate::config::install_pool(self.threads, || match self.config.control.clone() {
-            Some(control) => self.run_controlled(requests, &control),
+        crate::config::install_pool(self.config.threads, || match &self.config.control {
+            Some(control) => self.run_controlled(requests, control),
             None => self.run_batch(requests),
         })?
     }
@@ -481,252 +475,147 @@ impl<'a> ShardedCluster<'a> {
     /// The repairer-placement policy for plan annotation — `Some` only
     /// when loss injection is configured.
     fn repair_policy(&self) -> Option<RepairPlacement> {
-        self.config
-            .traffic
-            .loss
-            .as_ref()
-            .map(|_| self.config.traffic.repair)
+        self.config.loss.as_ref().map(|_| self.config.repair)
     }
 
-    /// The original batch pipeline: plan everything, simulate one global
-    /// pass, report.
-    fn run_batch(&self, requests: &[SessionRequest]) -> Result<ShardedTrafficReport, SimError> {
-        let planner =
-            find(&self.config.traffic.planner).ok_or_else(|| SimError::UnknownPlanner {
-                name: self.config.traffic.planner.clone(),
-            })?;
-        let caching = self.config.plan_cache && !planner.capabilities().uses_seed;
-        let shards = self.map.num_shards();
-        let new_ctx = || match self.config.traffic.dp_cache_capacity {
+    fn profiler(&self) -> Option<&PhaseProfiler> {
+        self.config
+            .telemetry
+            .as_ref()
+            .and_then(|t| t.profiler.as_deref())
+    }
+
+    fn new_ctx(&self) -> PlanContext {
+        match self.config.dp_cache_capacity {
             Some(cap) => PlanContext::with_dp_capacity(cap),
             None => PlanContext::new(),
-        };
-        let profiler = self.telemetry.as_ref().and_then(|t| t.profiler.clone());
-        let trace = TraceDest::from(self.telemetry.as_ref());
-        let shard_of: Vec<usize> = match &trace {
-            Some(_) => (0..self.pool.len()).map(|g| self.map.shard_of(g)).collect(),
-            None => Vec::new(),
-        };
-        let plan_span = profiler.as_ref().map(|p| p.span("plan"));
-
-        // Dispatch: validate ids and split into per-shard intra lists and
-        // the cross list. Local requests carry shard-local node ids.
-        let mut intra: Vec<Vec<(usize, SessionRequest)>> = vec![Vec::new(); shards];
-        let mut cross: Vec<usize> = Vec::new();
-        let mut routing: Vec<Routing> = Vec::with_capacity(requests.len());
-        // Stamp buffer for duplicate detection: O(group) per session
-        // instead of an O(pool) refill.
-        let mut stamp = vec![0u32; self.pool.len()];
-        let mut generation = 0u32;
-        for (idx, request) in requests.iter().enumerate() {
-            generation += 1;
-            self.check_ids(request, &mut stamp, generation)?;
-            let route = route_for(&self.map, request);
-            let home = route.home;
-            let is_cross = route.cross;
-            routing.push(route);
-            if is_cross {
-                cross.push(idx);
-            } else {
-                intra[home].push((idx, localize(&self.map, request)));
-            }
         }
+    }
 
-        // Per-shard intra-shard planning, fanned over rayon. Each shard owns
-        // its PlanContext and plan cache; results are merged positionally,
-        // so thread scheduling never leaks into the output.
-        let shard_work: Vec<(usize, &Vec<(usize, SessionRequest)>)> =
-            intra.iter().enumerate().collect();
-        let shard_outcomes: Vec<ShardOutcome> = shard_work
-            .par_iter()
-            .map(|&(s, batch)| {
-                let ctx = new_ctx();
-                let mut cache = PlanCache::new(self.config.plan_cache_capacity);
-                let pool = self.map.shard(s);
-                let mut runtimes = Vec::with_capacity(batch.len());
-                for (idx, local) in batch.iter() {
-                    let cached = planned_for(
-                        planner,
-                        pool,
-                        local,
-                        &ctx,
-                        caching.then_some(&mut cache),
-                        self.net,
-                        self.repair_policy(),
-                    )?;
-                    let mut runtime = runtime_from(pool, local, &cached);
-                    runtime.apply_chunks(local.chunks.or(self.config.traffic.chunks));
-                    // Rebase the node map onto global ids for simulation.
-                    for node in &mut runtime.node_map {
-                        *node = self.map.global_of(s, *node);
-                    }
-                    runtimes.push((*idx, runtime));
-                }
-                Ok((runtimes, ctx, cache))
-            })
-            .collect();
-        let mut shard_ctxs: Vec<PlanContext> = Vec::with_capacity(shards);
-        let mut shard_caches: Vec<PlanCache> = Vec::with_capacity(shards);
-        let mut runtimes: Vec<Option<SessionRuntime>> = Vec::with_capacity(requests.len());
-        runtimes.resize_with(requests.len(), || None);
-        for outcome in shard_outcomes {
-            let (shard_runtimes, ctx, cache) = outcome?;
-            for (idx, runtime) in shard_runtimes {
-                runtimes[idx] = Some(runtime);
-            }
-            shard_ctxs.push(ctx);
-            shard_caches.push(cache);
-        }
+    /// Fresh planning state: resolves the planner and opens empty contexts
+    /// and caches.
+    fn plan_state(&self) -> Result<PlanState, SimError> {
+        let planner = find(&self.config.planner).ok_or_else(|| SimError::UnknownPlanner {
+            name: self.config.planner.clone(),
+        })?;
+        let shards = self.map.num_shards();
+        let cache = || PlanCache::new(self.config.plan_cache_capacity);
+        Ok(PlanState {
+            planner,
+            caching: self.config.plan_cache && !planner.capabilities().uses_seed,
+            shard_ctxs: (0..shards).map(|_| self.new_ctx()).collect(),
+            shard_caches: (0..shards).map(|_| cache()).collect(),
+            gateway_ctx: self.new_ctx(),
+            gateway_cache: cache(),
+        })
+    }
 
-        // Cross-shard sessions: gateway tree + per-shard subtrees, stitched.
-        let gateway_ctx = new_ctx();
-        let mut gateway_cache = PlanCache::new(self.config.plan_cache_capacity);
-        for &idx in &cross {
-            let runtime = self.admit_cross(
-                planner,
-                &self.map,
-                &requests[idx],
-                &routing[idx],
-                &gateway_ctx,
-                caching.then_some(&mut gateway_cache),
-                &shard_ctxs,
-                &mut shard_caches,
-                caching,
-                None,
-            )?;
-            runtimes[idx] = Some(runtime);
-        }
+    /// Node count per shard of `map`, for the time-series section.
+    fn shard_sizes(map: &ShardMap) -> Vec<usize> {
+        (0..map.num_shards()).map(|s| map.shard(s).len()).collect()
+    }
+
+    /// The batch pipeline: plan everything, simulate every component from
+    /// idle horizons, report.
+    fn run_batch(&self, requests: &[SessionRequest]) -> Result<ShardedTrafficReport, SimError> {
+        let trace = TraceDest::from(self.config.telemetry.as_ref());
+        let plan_span = self.profiler().map(|p| p.span("plan"));
+        let Planned {
+            state,
+            mut runtimes,
+        } = self.plan_batch(requests)?;
         drop(plan_span);
-        let bind_span = profiler.as_ref().map(|p| p.span("bind"));
-
-        // Group sessions into simulation components over the session-node
-        // contact graph: sessions sharing any pool node must share one
-        // event heap, while node-disjoint components simulate independently
-        // with outcomes identical to one global pass.
-        let mut dsu = Dsu::new(self.pool.len());
-        for runtime in &runtimes {
-            let runtime = runtime.as_ref().expect("every session was admitted");
-            let first = runtime.node_map[0];
-            for &node in &runtime.node_map[1..] {
-                dsu.union(first, node);
-            }
-        }
-        // Component slots are assigned in first-appearance order over the
-        // request-ordered session vector, so the HashMap's iteration order
-        // never influences the output.
-        let mut component_of_root: HashMap<usize, usize> = HashMap::new();
-        let mut component_sessions: Vec<IndexedRuntimes> = Vec::new();
-        for (idx, runtime) in runtimes.into_iter().enumerate() {
-            let runtime = runtime.expect("every session was admitted");
-            let root = dsu.find(runtime.node_map[0]);
-            let slot = *component_of_root.entry(root).or_insert_with(|| {
-                component_sessions.push(Vec::new());
-                component_sessions.len() - 1
-            });
-            component_sessions[slot].push((idx, runtime));
-        }
-        let components = component_sessions.len();
-        drop(bind_span);
-        let simulate_span = profiler.as_ref().map(|p| p.span("simulate"));
-
-        // Simulate each component through the shared occupancy kernel,
-        // fanned over rayon's workers. Sessions stay in request order
-        // within their component and each component's nodes compact to a
-        // dense range, so the kernel sees the same `(specs, sessions)`
-        // input — and results merge positionally — regardless of how many
-        // threads dispatched the components.
-        let specs: Vec<NodeSpec> = (0..self.pool.len())
-            .map(|g| self.pool.spec_of_node(g))
-            .collect();
-        let simulated: Vec<(IndexedRuntimes, Vec<(usize, u64)>)> = component_sessions
-            .into_par_iter()
-            .map(|sessions| {
-                let mut nodes: Vec<usize> = sessions
-                    .iter()
-                    .flat_map(|(_, runtime)| runtime.node_map.iter().copied())
-                    .collect();
-                nodes.sort_unstable();
-                nodes.dedup();
-                let dense_specs: Vec<NodeSpec> = nodes.iter().map(|&g| specs[g]).collect();
-                let dense_class: Vec<usize> =
-                    nodes.iter().map(|&g| self.pool.class_of(g)).collect();
-                let (idxs, mut locals): (Vec<usize>, Vec<SessionRuntime>) =
-                    sessions.into_iter().unzip();
-                for runtime in &mut locals {
-                    for node in &mut runtime.node_map {
-                        *node = nodes
-                            .binary_search(node)
-                            .expect("a session's nodes are in its component");
-                    }
-                }
-                let faults = self
-                    .config
-                    .traffic
-                    .loss
-                    .as_ref()
-                    .map(|profile| kernel::FaultCtx {
-                        profile,
-                        class_of: &dense_class,
-                    });
-                // Per-component recorder: dense node ids become global,
-                // globals gain their shard, and every worker fans into the
-                // same order-independent sinks.
-                let recorder = trace.as_ref().map(|t| {
-                    Recorder::fanout(t.sinks())
-                        .with_node_map(&nodes)
-                        .with_shards(&shard_of)
-                });
-                let busy = kernel::simulate(
-                    &dense_specs,
-                    self.net,
-                    &mut locals,
-                    faults.as_ref(),
-                    recorder.as_ref(),
-                );
-                let sparse: Vec<(usize, u64)> = nodes.into_iter().zip(busy).collect();
-                let sessions: IndexedRuntimes = idxs.into_iter().zip(locals).collect();
-                (sessions, sparse)
-            })
-            .collect();
         let mut busy_time = vec![0u64; self.pool.len()];
-        let mut records: Vec<Option<ShardedSessionRecord>> = Vec::with_capacity(requests.len());
-        records.resize_with(requests.len(), || None);
-        for (sessions, busy) in simulated {
-            for (node, b) in busy {
-                busy_time[node] += b;
-            }
-            for (idx, runtime) in sessions {
-                let route = &routing[idx];
-                records[idx] = Some(ShardedSessionRecord {
-                    home_shard: route.home,
-                    cross: route.cross,
-                    shards: route.shards.clone(),
-                    record: record_for(&requests[idx], &runtime),
-                });
-            }
-        }
-        let per_session: Vec<ShardedSessionRecord> = records
+        let components = self.simulate_components(
+            &mut runtimes,
+            &(0..requests.len()).collect::<Vec<_>>(),
+            &self.map,
+            &mut vec![Time::ZERO; self.pool.len()],
+            &mut busy_time,
+            trace.as_ref(),
+        );
+        // Consuming the runtimes frees their trees as the records grow, and
+        // the records reuse the runtimes' buffer, trimmed to fit.
+        let mut per_session: Vec<ShardedSessionRecord> = runtimes
             .into_iter()
-            .map(|r| r.expect("every session was simulated"))
+            .zip(requests)
+            .map(|(runtime, request)| sharded_record(&self.map, request, &runtime))
             .collect();
-        drop(simulate_span);
-        let telemetry = trace.and_then(|t| {
-            let sizes: Vec<usize> = (0..shards).map(|s| self.map.shard(s).len()).collect();
-            t.report(&sizes)
-        });
-
+        per_session.shrink_to_fit();
+        let telemetry = trace.and_then(|t| t.report(&Self::shard_sizes(&self.map)));
         Ok(self.report(
             &self.map,
             per_session,
             &busy_time,
-            &shard_ctxs,
-            &shard_caches,
-            &gateway_ctx,
-            &gateway_cache,
+            &state,
             components,
             None,
             telemetry,
         ))
+    }
+
+    /// Dispatches and plans every session of a batch run: validates ids,
+    /// plans intra-shard sessions per shard in parallel, then stitches
+    /// cross-shard sessions in request order.
+    pub(crate) fn plan_batch(&self, requests: &[SessionRequest]) -> Result<Planned, SimError> {
+        let mut state = self.plan_state()?;
+        let mut intra: Vec<Vec<usize>> = vec![Vec::new(); self.map.num_shards()];
+        let mut cross: Vec<usize> = Vec::new();
+        let mut stamp = vec![0u32; self.pool.len()];
+        for (idx, request) in requests.iter().enumerate() {
+            self.check_ids(request, &mut stamp, idx as u32 + 1)?;
+            if self.map.is_cross_shard(request) {
+                cross.push(idx);
+            } else {
+                intra[self.map.shard_of(request.source)].push(idx);
+            }
+        }
+
+        // Per-shard intra-shard planning, fanned over rayon. Each worker
+        // owns its shard's context and cache; results are merged
+        // positionally, so thread scheduling never leaks into the output.
+        let (planner, caching) = (state.planner, state.caching);
+        let work: Vec<_> = intra
+            .iter()
+            .zip(state.shard_ctxs.drain(..).zip(state.shard_caches.drain(..)))
+            .collect();
+        let outcomes: Vec<ShardOutcome> = work
+            .into_par_iter()
+            .map(|(idxs, (ctx, mut cache))| {
+                let mut runtimes = Vec::with_capacity(idxs.len());
+                for &idx in idxs {
+                    let cache = caching.then_some(&mut cache);
+                    runtimes.push(self.admit_intra(planner, &requests[idx], &ctx, cache)?);
+                }
+                Ok((runtimes, ctx, cache))
+            })
+            .collect();
+        // Runtimes land in planning order — shard by shard, then the cross
+        // sessions — and are permuted into request order in place, so the
+        // batch never holds two copies of its runtimes.
+        let mut runtimes: Vec<SessionRuntime> = Vec::new();
+        for outcome in outcomes {
+            let (shard_runtimes, ctx, cache) = outcome?;
+            if runtimes.is_empty() {
+                runtimes = shard_runtimes;
+                runtimes.reserve_exact(requests.len() - runtimes.len());
+            } else {
+                runtimes.extend(shard_runtimes);
+            }
+            state.shard_ctxs.push(ctx);
+            state.shard_caches.push(cache);
+        }
+
+        // Cross-shard sessions: gateway tree + per-shard subtrees, stitched.
+        for &idx in &cross {
+            runtimes.push(self.admit_cross(&mut state, &self.map, &requests[idx], None)?);
+        }
+        let mut position = vec![0usize; requests.len()];
+        for (pos, &idx) in intra.iter().flatten().chain(&cross).enumerate() {
+            position[idx] = pos;
+        }
+        permute(&mut runtimes, &position);
+        Ok(Planned { state, runtimes })
     }
 
     /// The epoch-synchronous control loop (see the
@@ -737,50 +626,34 @@ impl<'a> ShardedCluster<'a> {
         requests: &[SessionRequest],
         control: &ControlConfig,
     ) -> Result<ShardedTrafficReport, SimError> {
-        let planner =
-            find(&self.config.traffic.planner).ok_or_else(|| SimError::UnknownPlanner {
-                name: self.config.traffic.planner.clone(),
-            })?;
+        let mut state = self.plan_state()?;
         let policy = find_policy(&control.policy).ok_or_else(|| SimError::UnknownPolicy {
             name: control.policy.clone(),
         })?;
-        let caching = self.config.plan_cache && !planner.capabilities().uses_seed;
         let shards = self.map.num_shards();
-        let new_ctx = || match self.config.traffic.dp_cache_capacity {
-            Some(cap) => PlanContext::with_dp_capacity(cap),
-            None => PlanContext::new(),
-        };
-        let profiler = self.telemetry.as_ref().and_then(|t| t.profiler.clone());
-        let trace = TraceDest::from(self.telemetry.as_ref());
+        let profiler = self.profiler();
+        let trace = TraceDest::from(self.config.telemetry.as_ref());
         // Admission decisions carry no node, so one run-wide recorder
         // (no remap) serves every epoch.
         let decision_recorder = trace.as_ref().map(|t| Recorder::fanout(t.sinks()));
 
-        // Long-lived state: the (mutable) partition, per-shard DP contexts
-        // and plan caches, and the per-node busy horizons coupling epochs.
+        // Long-lived state: the (mutable) partition and the per-node busy
+        // horizons coupling epochs.
         let mut map = self.map.clone();
-        let shard_ctxs: Vec<PlanContext> = (0..shards).map(|_| new_ctx()).collect();
-        let mut shard_caches: Vec<PlanCache> = (0..shards)
-            .map(|_| PlanCache::new(self.config.plan_cache_capacity))
-            .collect();
-        let gateway_ctx = new_ctx();
-        let mut gateway_cache = PlanCache::new(self.config.plan_cache_capacity);
         let specs: Vec<NodeSpec> = (0..self.pool.len())
             .map(|g| self.pool.spec_of_node(g))
             .collect();
         let mut busy_until = vec![Time::ZERO; self.pool.len()];
         let mut busy_time = vec![0u64; self.pool.len()];
 
-        let mut records: Vec<Option<ShardedSessionRecord>> = Vec::with_capacity(requests.len());
-        records.resize_with(requests.len(), || None);
-        let mut decisions: Vec<&'static str> = vec![""; requests.len()];
+        let mut per_session: Vec<ShardedSessionRecord> = Vec::with_capacity(requests.len());
+        let mut decisions: Vec<&'static str> = Vec::with_capacity(requests.len());
         let mut rebalancer = control.rebalance.clone().map(Rebalancer::new);
         let mut migrations: Vec<MigrationRecord> = Vec::new();
         let mut invalidations = 0usize;
         let mut components_total = 0usize;
         let (mut n_admitted, mut n_reordered, mut n_shed) = (0usize, 0usize, 0usize);
         let mut stamp = vec![0u32; self.pool.len()];
-        let mut generation = 0u32;
 
         let epoch_len = control.epoch.max(1);
         let epochs = requests.len().div_ceil(epoch_len);
@@ -789,53 +662,25 @@ impl<'a> ShardedCluster<'a> {
 
             // Plan every session of the epoch against the *current* map,
             // in submission order (plan caches make repeats cheap).
-            let plan_span = profiler.as_ref().map(|p| p.span("plan"));
-            let mut routes: Vec<Routing> = Vec::with_capacity(batch.len());
+            let plan_span = profiler.map(|p| p.span("plan"));
             let mut runtimes: Vec<SessionRuntime> = Vec::with_capacity(batch.len());
-            for request in batch {
-                generation += 1;
-                self.check_ids(request, &mut stamp, generation)?;
-                let route = route_for(&map, request);
-                let runtime = if route.cross {
-                    self.admit_cross(
-                        planner,
-                        &map,
-                        request,
-                        &route,
-                        &gateway_ctx,
-                        caching.then_some(&mut gateway_cache),
-                        &shard_ctxs,
-                        &mut shard_caches,
-                        caching,
-                        Some((policy, busy_until.as_slice())),
-                    )?
+            for (j, request) in batch.iter().enumerate() {
+                self.check_ids(request, &mut stamp, (base + j) as u32 + 1)?;
+                let runtime = if map.is_cross_shard(request) {
+                    let policy = Some((policy, busy_until.as_slice()));
+                    self.admit_cross(&mut state, &map, request, policy)?
                 } else {
-                    let s = route.home;
-                    let local = localize(&map, request);
-                    let cached = planned_for(
-                        planner,
-                        map.shard(s),
-                        &local,
-                        &shard_ctxs[s],
-                        caching.then_some(&mut shard_caches[s]),
-                        self.net,
-                        self.repair_policy(),
-                    )?;
-                    let mut runtime = runtime_from(map.shard(s), &local, &cached);
-                    runtime.apply_chunks(local.chunks.or(self.config.traffic.chunks));
-                    for node in &mut runtime.node_map {
-                        *node = map.global_of(s, *node);
-                    }
-                    runtime
+                    let planner = state.planner;
+                    let (ctx, cache) = state.shard(map.shard_of(request.source));
+                    self.admit_intra(planner, request, ctx, cache)?
                 };
-                routes.push(route);
                 runtimes.push(runtime);
             }
             drop(plan_span);
 
             // Admission: reorder same-instant arrivals shortest-planned-R_T
             // first and shed sessions already doomed by their patience.
-            let admit_span = profiler.as_ref().map(|p| p.span("admit"));
+            let admit_span = profiler.map(|p| p.span("admit"));
             let (order, epoch_decisions) = if control.admission {
                 let intents: Vec<AdmissionIntent> = runtimes
                     .iter()
@@ -857,7 +702,7 @@ impl<'a> ShardedCluster<'a> {
                 )
             };
             for (j, decision) in epoch_decisions.iter().enumerate() {
-                decisions[base + j] = decision.label();
+                decisions.push(decision.label());
                 let kind = match decision {
                     AdmissionDecision::Admitted => {
                         n_admitted += 1;
@@ -885,131 +730,38 @@ impl<'a> ShardedCluster<'a> {
                 }
             }
             drop(admit_span);
-            let bind_span = profiler.as_ref().map(|p| p.span("bind"));
 
-            // Contact-group the admitted sessions and simulate each
-            // component from the carried busy horizons. Execution order —
+            // Simulate from the carried busy horizons. Execution order —
             // the kernel's slice-position tie-break — is the admission
-            // order, which is how reordering takes effect.
-            let mut dsu = Dsu::new(self.pool.len());
-            for &j in &order {
-                let runtime = &runtimes[j];
-                let first = runtime.node_map[0];
-                for &node in &runtime.node_map[1..] {
-                    dsu.union(first, node);
-                }
-            }
-            let mut component_of_root: HashMap<usize, usize> = HashMap::new();
-            let mut component_sessions: Vec<IndexedRuntimes> = Vec::new();
-            let mut slots: Vec<Option<SessionRuntime>> = runtimes.into_iter().map(Some).collect();
-            for &j in &order {
-                let runtime = slots[j].take().expect("admission order has no duplicates");
-                let root = dsu.find(runtime.node_map[0]);
-                let slot = *component_of_root.entry(root).or_insert_with(|| {
-                    component_sessions.push(Vec::new());
-                    component_sessions.len() - 1
-                });
-                component_sessions[slot].push((j, runtime));
-            }
-            components_total += component_sessions.len();
-            drop(bind_span);
-            let simulate_span = profiler.as_ref().map(|p| p.span("simulate"));
-            // The partition migrates between epochs, so the global→shard
-            // map is rebuilt per epoch: traced events carry the shard that
-            // owned their node *when they happened*.
-            let shard_of: Vec<usize> = match &trace {
-                Some(_) => (0..self.pool.len()).map(|g| map.shard_of(g)).collect(),
-                None => Vec::new(),
-            };
-
-            type Simulated = (IndexedRuntimes, Vec<(usize, u64, Time)>);
-            let simulated: Vec<Simulated> = component_sessions
-                .into_par_iter()
-                .map(|sessions| {
-                    let mut nodes: Vec<usize> = sessions
-                        .iter()
-                        .flat_map(|(_, runtime)| runtime.node_map.iter().copied())
-                        .collect();
-                    nodes.sort_unstable();
-                    nodes.dedup();
-                    let dense_specs: Vec<NodeSpec> = nodes.iter().map(|&g| specs[g]).collect();
-                    let dense_class: Vec<usize> =
-                        nodes.iter().map(|&g| self.pool.class_of(g)).collect();
-                    let dense_busy0: Vec<Time> = nodes.iter().map(|&g| busy_until[g]).collect();
-                    let (idxs, mut locals): (Vec<usize>, Vec<SessionRuntime>) =
-                        sessions.into_iter().unzip();
-                    for runtime in &mut locals {
-                        for node in &mut runtime.node_map {
-                            *node = nodes
-                                .binary_search(node)
-                                .expect("a session's nodes are in its component");
-                        }
-                    }
-                    let faults =
-                        self.config
-                            .traffic
-                            .loss
-                            .as_ref()
-                            .map(|profile| kernel::FaultCtx {
-                                profile,
-                                class_of: &dense_class,
-                            });
-                    let recorder = trace.as_ref().map(|t| {
-                        Recorder::fanout(t.sinks())
-                            .with_node_map(&nodes)
-                            .with_shards(&shard_of)
-                    });
-                    let carry = kernel::simulate_from(
-                        &dense_specs,
-                        self.net,
-                        &mut locals,
-                        &dense_busy0,
-                        faults.as_ref(),
-                        recorder.as_ref(),
-                    );
-                    let sparse: Vec<(usize, u64, Time)> = nodes
-                        .into_iter()
-                        .zip(carry.busy_time.into_iter().zip(carry.busy_until))
-                        .map(|(g, (busy, until))| (g, busy, until))
-                        .collect();
-                    (idxs.into_iter().zip(locals).collect(), sparse)
-                })
-                .collect();
-
-            // Positional merge; untouched nodes keep their horizons.
-            for (sessions, sparse) in simulated {
-                for (g, busy, until) in sparse {
-                    busy_time[g] += busy;
-                    busy_until[g] = until;
-                }
-                for (j, runtime) in sessions {
-                    slots[j] = Some(runtime);
-                }
-            }
-            drop(simulate_span);
+            // order, which is how reordering takes effect. The partition
+            // migrates between epochs, so traced events carry the shard
+            // that owned their node *when they happened*.
+            // Shed sessions stay out of the order and are not simulated.
+            components_total += self.simulate_components(
+                &mut runtimes,
+                &order,
+                &map,
+                &mut busy_until,
+                &mut busy_time,
+                trace.as_ref(),
+            );
 
             // Records, plus the per-shard epoch signal for the rebalancer.
             let mut delay_sum = vec![0u64; shards];
             let mut delay_n = vec![0usize; shards];
-            for (j, slot) in slots.into_iter().enumerate() {
-                let runtime = slot.expect("every session was simulated or shed");
-                let route = &routes[j];
-                let record = record_for(&batch[j], &runtime);
-                if !record.abandoned {
-                    delay_sum[route.home] += record.queue_delay;
-                    delay_n[route.home] += 1;
+            for (request, runtime) in batch.iter().zip(&runtimes) {
+                let record = sharded_record(&map, request, runtime);
+                let home = record.home_shard;
+                if !record.record.abandoned {
+                    delay_sum[home] += record.record.queue_delay;
+                    delay_n[home] += 1;
                 }
-                records[base + j] = Some(ShardedSessionRecord {
-                    home_shard: route.home,
-                    cross: route.cross,
-                    shards: route.shards.clone(),
-                    record,
-                });
+                per_session.push(record);
             }
 
             // Rebalance between epochs (never after the last — the loop
             // only migrates where a future epoch can benefit).
-            let _rebalance_span = profiler.as_ref().map(|p| p.span("rebalance"));
+            let _rebalance_span = profiler.map(|p| p.span("rebalance"));
             if let Some(rebalancer) = rebalancer.as_mut() {
                 if epoch_no + 1 < epochs {
                     let delays: Vec<f64> = (0..shards)
@@ -1046,7 +798,7 @@ impl<'a> ShardedCluster<'a> {
                         let capacity: Vec<usize> = (0..self.pool.k())
                             .map(|c| map.shard(mv.from).nodes_of_class(c).len())
                             .collect();
-                        invalidations += shard_caches[mv.from].evict_where(|key| {
+                        invalidations += state.shard_caches[mv.from].evict_where(|key| {
                             let (source_class, counts) = key;
                             counts.iter().enumerate().any(|(c, &need)| {
                                 need + usize::from(*source_class == c) > capacity[c]
@@ -1064,10 +816,6 @@ impl<'a> ShardedCluster<'a> {
             }
         }
 
-        let per_session: Vec<ShardedSessionRecord> = records
-            .into_iter()
-            .map(|r| r.expect("every session was recorded"))
-            .collect();
         let control_report = ControlPlaneReport {
             policy: control.policy.clone(),
             admission: control.admission,
@@ -1080,27 +828,157 @@ impl<'a> ShardedCluster<'a> {
             migrations,
             decisions: decisions.into_iter().map(str::to_string).collect(),
         };
-        let telemetry = trace.and_then(|t| {
-            let sizes: Vec<usize> = (0..shards).map(|s| map.shard(s).len()).collect();
-            t.report(&sizes)
-        });
+        let telemetry = trace.and_then(|t| t.report(&Self::shard_sizes(&map)));
         Ok(self.report(
             &map,
             per_session,
             &busy_time,
-            &shard_ctxs,
-            &shard_caches,
-            &gateway_ctx,
-            &gateway_cache,
+            &state,
             components_total,
             Some(control_report),
             telemetry,
         ))
     }
 
-    /// Validates that a request's node ids are in range and distinct, using
-    /// a caller-provided stamp buffer (a node is "seen" when its stamp
-    /// equals the current generation).
+    /// Simulates the sessions of `runtimes` named by `order` — their
+    /// execution order, node maps pool-global — component by component,
+    /// and returns the component count. Sessions outside `order` are left
+    /// untouched, and every runtime ends where it started.
+    ///
+    /// Sessions sharing any pool node must share one event heap, while
+    /// node-disjoint components simulate independently with outcomes
+    /// identical to one global pass. Each component starts from the carried
+    /// `busy_until` horizons of its nodes (all idle on the batch path,
+    /// which `kernel::simulate_from` makes event-for-event identical to a
+    /// fresh run); its busy time is added to `busy_time` and its final
+    /// horizons written back to `busy_until`. Components keep their
+    /// sessions in execution order and number their nodes densely in
+    /// ascending global order, so the kernel sees the same input — and
+    /// results merge positionally — however many threads ran them.
+    fn simulate_components(
+        &self,
+        runtimes: &mut [SessionRuntime],
+        order: &[usize],
+        map: &ShardMap,
+        busy_until: &mut [Time],
+        busy_time: &mut [u64],
+        trace: Option<&TraceDest>,
+    ) -> usize {
+        let bind_span = self.profiler().map(|p| p.span("bind"));
+        let n = self.pool.len();
+        let mut dsu = Dsu::new(n);
+        let mut sources = Vec::with_capacity(order.len());
+        for &slot in order {
+            let nodes = &runtimes[slot].node_map;
+            for &node in &nodes[1..] {
+                dsu.union(nodes[0], node);
+            }
+            sources.push(nodes[0]);
+        }
+        // Component ids in first-appearance order over the execution order.
+        let mut component_of_root = vec![usize::MAX; n];
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        for (&slot, &source) in order.iter().zip(&sources) {
+            let root = dsu.find(source);
+            if component_of_root[root] == usize::MAX {
+                component_of_root[root] = members.len();
+                members.push(Vec::new());
+            }
+            members[component_of_root[root]].push(slot);
+        }
+        // Components are node-disjoint, so one ascending sweep over the
+        // pool numbers every component's nodes densely at once. A node no
+        // session touches is its own root, which no component owns.
+        let mut nodes: Vec<Vec<usize>> = vec![Vec::new(); members.len()];
+        let mut dense_of = vec![usize::MAX; n];
+        for g in 0..n {
+            let c = component_of_root[dsu.find(g)];
+            if c != usize::MAX {
+                dense_of[g] = nodes[c].len();
+                nodes[c].push(g);
+            }
+        }
+        // Lay the components out contiguously, in execution order, with
+        // the unsimulated sessions behind them. Permuting in place keeps one
+        // copy of the runtimes, and a run that is one component in slot
+        // order moves nothing.
+        let mut layout: Vec<usize> = members.iter().flatten().copied().collect();
+        let mut simulated = vec![false; runtimes.len()];
+        for &slot in &layout {
+            simulated[slot] = true;
+        }
+        layout.extend((0..runtimes.len()).filter(|&slot| !simulated[slot]));
+        permute(runtimes, &layout);
+        let mut rest = &mut runtimes[..];
+        let mut work = Vec::with_capacity(members.len());
+        for (component, nodes) in members.iter().zip(&nodes) {
+            let (head, tail) = rest.split_at_mut(component.len());
+            work.push((head, nodes.as_slice()));
+            rest = tail;
+        }
+        drop(bind_span);
+
+        let _simulate_span = self.profiler().map(|p| p.span("simulate"));
+        let shard_of: Vec<usize> = match trace {
+            Some(_) => (0..n).map(|g| map.shard_of(g)).collect(),
+            None => Vec::new(),
+        };
+        let horizons: &[Time] = busy_until;
+        let carries: Vec<kernel::CarryOut> = work
+            .into_par_iter()
+            .map(|(sessions, nodes)| {
+                for runtime in sessions.iter_mut() {
+                    for node in &mut runtime.node_map {
+                        *node = dense_of[*node];
+                    }
+                }
+                let specs: Vec<NodeSpec> =
+                    nodes.iter().map(|&g| self.pool.spec_of_node(g)).collect();
+                let class_of: Vec<usize> = nodes.iter().map(|&g| self.pool.class_of(g)).collect();
+                let busy0: Vec<Time> = nodes.iter().map(|&g| horizons[g]).collect();
+                let faults = self.config.loss.as_ref().map(|profile| kernel::FaultCtx {
+                    profile,
+                    class_of: &class_of,
+                });
+                // Per-component recorder: dense node ids become global,
+                // globals gain their shard, and every worker fans into the
+                // same order-independent sinks.
+                let recorder = trace.map(|t| {
+                    Recorder::fanout(t.sinks())
+                        .with_node_map(nodes)
+                        .with_shards(&shard_of)
+                });
+                kernel::simulate_from(
+                    &specs,
+                    self.net,
+                    sessions,
+                    &busy0,
+                    faults.as_ref(),
+                    recorder.as_ref(),
+                )
+            })
+            .collect();
+
+        // Positional merge; untouched nodes keep their horizons.
+        for (nodes, carry) in nodes.iter().zip(carries) {
+            for (i, &g) in nodes.iter().enumerate() {
+                busy_time[g] += carry.busy_time[i];
+                busy_until[g] = carry.busy_until[i];
+            }
+        }
+        let mut back = vec![0usize; layout.len()];
+        for (pos, &slot) in layout.iter().enumerate() {
+            back[slot] = pos;
+        }
+        permute(runtimes, &back);
+        members.len()
+    }
+
+    /// Validates a request — node ids in range and distinct, and a last
+    /// chunk release inside the clock headroom — using a caller-provided
+    /// stamp buffer (a node is "seen" when its stamp equals the current
+    /// generation, so each check costs `O(group)` instead of an `O(pool)`
+    /// refill).
     fn check_ids(
         &self,
         request: &SessionRequest,
@@ -1118,7 +996,90 @@ impl<'a> ShardedCluster<'a> {
             }
             stamp[member] = generation;
         }
+        let arrival = request.arrival.raw();
+        let last_release = match request.chunks.or(self.config.chunks) {
+            Some(profile) => u64::from(profile.chunks.max(1) - 1)
+                .checked_mul(profile.interval)
+                .and_then(|train| arrival.checked_add(train)),
+            None => Some(arrival),
+        };
+        if !matches!(last_release, Some(t) if t <= RELEASE_HORIZON) {
+            return Err(SimError::ReleaseOverflow { id: request.id });
+        }
         Ok(())
+    }
+
+    /// Returns the (possibly cached) plan shape for the class signature of
+    /// `source` and `members` (validated pool-global ids). The signature is
+    /// computed in `O(group + k)`, so a cache hit costs no planner work at
+    /// all.
+    fn plan_shape(
+        &self,
+        planner: &'static dyn Planner,
+        id: u64,
+        source: usize,
+        members: &[usize],
+        ctx: &PlanContext,
+        mut cache: Option<&mut PlanCache>,
+    ) -> Result<Arc<CachedPlan>, SimError> {
+        let pool = self.pool;
+        let mut counts = vec![0usize; pool.k()];
+        for &member in members {
+            counts[pool.class_of(member)] += 1;
+        }
+        let key: PlanKey = (pool.class_of(source), counts);
+        if let Some(cache) = cache.as_deref_mut() {
+            if let Some(cached) = cache.get(&key) {
+                return Ok(cached);
+            }
+        }
+        let instance = |error| SimError::Instance { session: id, error };
+        let (source_class, counts) = key;
+        let typed =
+            TypedMulticast::new(pool.specs().to_vec(), source_class, counts).map_err(instance)?;
+        let set = typed.to_multicast_set().map_err(instance)?;
+        let request = PlanRequest::new(set, self.net).with_seed(id);
+        let plan = planner.plan_with(&request, ctx)?;
+        let repairer = self.repair_policy().map(|policy| {
+            let set = &request.set;
+            let specs: Vec<NodeSpec> = (0..set.num_nodes()).map(|v| set.spec(NodeId(v))).collect();
+            Arc::new(policy.assign(&plan.tree, &specs))
+        });
+        let cached = Arc::new(CachedPlan {
+            children: Arc::new(children_lists(&plan.tree)),
+            locals_by_class: typed.node_ids_by_class(),
+            repairer,
+            planned_reception: plan.timing.reception_completion(),
+            planned_delivery: plan.timing.delivery_completion(),
+            tree: plan.tree,
+        });
+        if let Some(cache) = cache {
+            let key = (typed.source_class(), typed.counts().to_vec());
+            cache.insert(key, Arc::clone(&cached));
+        }
+        Ok(cached)
+    }
+
+    /// Plans one intra-shard session against its shard's context and cache
+    /// and binds it to its pool nodes.
+    fn admit_intra(
+        &self,
+        planner: &'static dyn Planner,
+        request: &SessionRequest,
+        ctx: &PlanContext,
+        cache: Option<&mut PlanCache>,
+    ) -> Result<SessionRuntime, SimError> {
+        let (source, members) = (request.source, &request.members);
+        let plan = self.plan_shape(planner, request.id, source, members, ctx, cache)?;
+        Ok(SessionRuntime::new(
+            request,
+            bind_node_map(self.pool, source, members, &plan.locals_by_class),
+            Arc::clone(&plan.children),
+            plan.repairer.clone(),
+            plan.planned_reception,
+            plan.planned_delivery,
+            request.chunks.or(self.config.chunks),
+        ))
     }
 
     /// Plans one cross-shard session: gateway tree over the designated
@@ -1128,34 +1089,27 @@ impl<'a> ShardedCluster<'a> {
     /// `policy` swaps the baseline gateway election (fastest member, ties
     /// by lowest global id) for a pluggable [`GatewayPolicy`] fed the
     /// members' carried busy horizons; `None` keeps the baseline.
-    #[allow(clippy::too_many_arguments)]
     fn admit_cross(
         &self,
-        planner: &'static dyn Planner,
+        state: &mut PlanState,
         map: &ShardMap,
         request: &SessionRequest,
-        route: &Routing,
-        gateway_ctx: &PlanContext,
-        gateway_cache: Option<&mut PlanCache>,
-        shard_ctxs: &[PlanContext],
-        shard_caches: &mut [PlanCache],
-        caching: bool,
         policy: Option<(&dyn GatewayPolicy, &[Time])>,
     ) -> Result<SessionRuntime, SimError> {
-        // Members per touched shard. Keyed access only, but a BTreeMap
-        // keeps even accidental iteration deterministic.
+        // Members per touched shard; the BTreeMap visits the shards in
+        // ascending order.
         let mut by_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for &m in &request.members {
             by_shard.entry(map.shard_of(m)).or_default().push(m);
         }
+        let home = map.shard_of(request.source);
         // Gateway selection: the source at home; elsewhere per policy —
         // baseline is the fastest member (ties by lowest global id).
         // Members are collected in ascending-id order per shard, so both
         // the baseline `min_by` and a policy's first-minimum-wins argmin
         // are deterministic.
-        let mut gateways: Vec<usize> = Vec::with_capacity(route.shards.len() - 1);
-        for &s in &route.shards[1..] {
-            let members = &by_shard[&s];
+        let mut gateways: Vec<usize> = Vec::new();
+        for (_, members) in by_shard.iter().filter(|&(&s, _)| s != home) {
             let gw = match policy {
                 Some((policy, busy)) => {
                     let candidates: Vec<GatewayCandidate> = members
@@ -1182,27 +1136,18 @@ impl<'a> ShardedCluster<'a> {
             gateways.push(gw);
         }
 
-        // Level 1: the gateway tree over the gateway class vector. The
-        // chunk profile stays off planning-only requests — chunking never
-        // changes the tree, only how the payload moves through it.
-        let gateway_request = SessionRequest {
-            id: request.id,
-            arrival: request.arrival,
-            source: request.source,
-            members: gateways.clone(),
-            patience: None,
-            chunks: None,
-        };
-        let gateway_plan = planned_for(
+        // Level 1: the gateway tree over the gateway class vector, bound
+        // gateway-tree node id -> global gateway id.
+        let planner = state.planner;
+        let gateway_cache = state.caching.then_some(&mut state.gateway_cache);
+        let gateway_plan = self.plan_shape(
             planner,
-            self.pool,
-            &gateway_request,
-            gateway_ctx,
+            request.id,
+            request.source,
+            &gateways,
+            &state.gateway_ctx,
             gateway_cache,
-            self.net,
-            self.repair_policy(),
         )?;
-        // Gateway-tree node id -> global gateway id.
         let gateway_binding = bind_node_map(
             self.pool,
             request.source,
@@ -1210,56 +1155,31 @@ impl<'a> ShardedCluster<'a> {
             &gateway_plan.locals_by_class,
         );
 
-        // Level 2: one subtree per gateway-tree node, rooted at its gateway.
+        // Level 2: one subtree per gateway-tree node, rooted at its gateway
+        // and bound subtree node id -> global id.
         let mut subtree_plans: Vec<Arc<CachedPlan>> = Vec::with_capacity(gateway_binding.len());
         let mut subtree_bindings: Vec<Vec<usize>> = Vec::with_capacity(gateway_binding.len());
         for &gw in &gateway_binding {
-            let (s, local_gw) = map.locate(gw);
-            let shard_pool = map.shard(s);
+            let s = map.shard_of(gw);
             // At home the source is the gateway (it is never a member), so
             // the filter keeps every home member; on remote shards it
             // removes the member promoted to gateway.
-            let local_members: Vec<usize> = by_shard
+            let members: Vec<usize> = by_shard
                 .get(&s)
-                .map(|members| {
-                    members
-                        .iter()
-                        .copied()
-                        .filter(|&m| m != gw)
-                        .map(|m| map.locate(m).1)
-                        .collect()
-                })
+                .map(|members| members.iter().copied().filter(|&m| m != gw).collect())
                 .unwrap_or_default();
-            let plan = if local_members.is_empty() {
+            let plan = if members.is_empty() {
                 Arc::new(trivial_plan())
             } else {
-                let local_request = SessionRequest {
-                    id: request.id,
-                    arrival: request.arrival,
-                    source: local_gw,
-                    members: local_members.clone(),
-                    patience: None,
-                    chunks: None,
-                };
-                planned_for(
-                    planner,
-                    shard_pool,
-                    &local_request,
-                    &shard_ctxs[s],
-                    caching.then_some(&mut shard_caches[s]),
-                    self.net,
-                    self.repair_policy(),
-                )?
+                let (ctx, cache) = state.shard(s);
+                self.plan_shape(planner, request.id, gw, &members, ctx, cache)?
             };
-            // Subtree-local tree id -> global id.
-            let local_binding =
-                bind_node_map(shard_pool, local_gw, &local_members, &plan.locals_by_class);
-            subtree_bindings.push(
-                local_binding
-                    .into_iter()
-                    .map(|l| map.global_of(s, l))
-                    .collect(),
-            );
+            subtree_bindings.push(bind_node_map(
+                self.pool,
+                gw,
+                &members,
+                &plan.locals_by_class,
+            ));
             subtree_plans.push(plan);
         }
 
@@ -1289,33 +1209,15 @@ impl<'a> ShardedCluster<'a> {
         let repairer = self
             .repair_policy()
             .map(|policy| Arc::new(policy.assign_composed(&composed)));
-        let mut runtime = SessionRuntime {
-            id: request.id,
-            arrival: request.arrival,
-            deadline: request.patience.map(|p| request.arrival.saturating_add(p)),
+        Ok(SessionRuntime::new(
+            request,
             node_map,
-            children: Arc::new(children_lists(&composed.tree)),
+            Arc::new(children_lists(&composed.tree)),
             repairer,
-            planned_reception: composed.timing.reception_completion(),
-            planned_delivery: composed.timing.delivery_completion(),
-            started: None,
-            abandoned: false,
-            pending: request.members.len(),
-            completed_at: request.arrival,
-            delivered_at: request.arrival,
-            nacks: 0,
-            repair_sends: 0,
-            failed_members: 0,
-            repair_delays: Vec::new(),
-            chunks: 1,
-            chunk_interval: Time::ZERO,
-            chunk_deadline: None,
-            pipelined: true,
-            chunk_pending: Vec::new(),
-            chunk_completed_at: Vec::new(),
-        };
-        runtime.apply_chunks(request.chunks.or(self.config.traffic.chunks));
-        Ok(runtime)
+            composed.timing.reception_completion(),
+            composed.timing.delivery_completion(),
+            request.chunks.or(self.config.chunks),
+        ))
     }
 
     /// Assembles the merged report. `map` is the partition at the end of
@@ -1327,10 +1229,7 @@ impl<'a> ShardedCluster<'a> {
         map: &ShardMap,
         per_session: Vec<ShardedSessionRecord>,
         busy_time: &[u64],
-        shard_ctxs: &[PlanContext],
-        shard_caches: &[PlanCache],
-        gateway_ctx: &PlanContext,
-        gateway_cache: &PlanCache,
+        state: &PlanState,
         components: usize,
         control: Option<ControlPlaneReport>,
         telemetry: Option<TelemetryReport>,
@@ -1351,7 +1250,7 @@ impl<'a> ShardedCluster<'a> {
                     .map(|r| &r.record);
                 let shard_busy: Vec<u64> =
                     map.globals_of(s).iter().map(|&g| busy_time[g]).collect();
-                let dp_cache = CacheStats::from_context(&shard_ctxs[s]);
+                let dp_cache = CacheStats::from_context(&state.shard_ctxs[s]);
                 let mut metrics = TrafficMetrics::from_records(records, &shard_busy);
                 // The shard's nodes also serve cross-shard sessions, whose
                 // completions are not in this record subset — utilization
@@ -1368,12 +1267,12 @@ impl<'a> ShardedCluster<'a> {
                     metrics,
                     dp_cache,
                     dp_hit_rate: dp_cache.hit_rate(),
-                    plan_cache: shard_caches[s].stats(),
-                    plan_signatures: shard_caches[s].len(),
+                    plan_cache: state.shard_caches[s].stats(),
+                    plan_signatures: state.shard_caches[s].len(),
                 }
             })
             .collect();
-        let gateway_dp_cache = CacheStats::from_context(gateway_ctx);
+        let gateway_dp_cache = CacheStats::from_context(&state.gateway_ctx);
         let reliability = ReliabilityReport::from_records(per_session.iter().map(|s| &s.record));
         let streaming =
             StreamingReport::from_records(per_session.iter().map(|s| &s.record), total.makespan);
@@ -1382,7 +1281,7 @@ impl<'a> ShardedCluster<'a> {
             // (4 added streaming + per-session chunk fields, 3 the
             // reliability section).
             schema: 5,
-            planner: self.config.traffic.planner.clone(),
+            planner: self.config.planner.clone(),
             shards: map.num_shards(),
             plan_cache: self.config.plan_cache,
             net_latency: self.net.latency().raw(),
@@ -1400,7 +1299,7 @@ impl<'a> ShardedCluster<'a> {
             streaming,
             gateway_dp_cache,
             gateway_dp_hit_rate: gateway_dp_cache.hit_rate(),
-            gateway_plan_cache: gateway_cache.stats(),
+            gateway_plan_cache: state.gateway_cache.stats(),
             control,
             per_shard,
             per_session,
@@ -1409,39 +1308,28 @@ impl<'a> ShardedCluster<'a> {
     }
 }
 
-/// Routes a (validated) request over the partition: home shard, cross
-/// flag, touched shards home-first-then-ascending.
-fn route_for(map: &ShardMap, request: &SessionRequest) -> Routing {
+/// A session's report record, routed over the partition: home shard,
+/// cross flag and touched shards (home first, then ascending).
+fn sharded_record(
+    map: &ShardMap,
+    request: &SessionRequest,
+    runtime: &SessionRuntime,
+) -> ShardedSessionRecord {
     let home = map.shard_of(request.source);
-    let mut touched: Vec<usize> = request
+    let mut shards: Vec<usize> = request
         .members
         .iter()
         .map(|&m| map.shard_of(m))
         .filter(|&s| s != home)
         .collect();
-    touched.sort_unstable();
-    touched.dedup();
-    let cross = !touched.is_empty();
-    let mut shards = Vec::with_capacity(touched.len() + 1);
-    shards.push(home);
-    shards.extend(touched);
-    Routing {
-        home,
-        cross,
+    shards.sort_unstable();
+    shards.dedup();
+    shards.insert(0, home);
+    ShardedSessionRecord {
+        home_shard: home,
+        cross: shards.len() > 1,
         shards,
-    }
-}
-
-/// Rewrites an intra-shard request onto its home shard's local node ids.
-/// The chunk profile rides along — it is node-id-free.
-fn localize(map: &ShardMap, request: &SessionRequest) -> SessionRequest {
-    SessionRequest {
-        id: request.id,
-        arrival: request.arrival,
-        source: map.locate(request.source).1,
-        members: request.members.iter().map(|&m| map.locate(m).1).collect(),
-        patience: request.patience,
-        chunks: request.chunks,
+        record: record_for(request, runtime),
     }
 }
 
@@ -1465,62 +1353,6 @@ fn charges_for(runtime: &SessionRuntime, specs: &[NodeSpec]) -> Vec<(usize, u64)
     vec![(root, sends)]
 }
 
-/// Returns the (possibly cached) plan shape for a request's class
-/// signature over `pool`. Node ids must already be validated (the
-/// dispatcher checks them once, globally); the signature is computed in
-/// `O(group + k)` so a cache hit costs no planner work at all.
-fn planned_for(
-    planner: &'static dyn Planner,
-    pool: &NodePool,
-    request: &SessionRequest,
-    ctx: &PlanContext,
-    mut cache: Option<&mut PlanCache>,
-    net: NetParams,
-    repair: Option<RepairPlacement>,
-) -> Result<Arc<CachedPlan>, SimError> {
-    let mut counts = vec![0usize; pool.k()];
-    for &member in &request.members {
-        counts[pool.class_of(member)] += 1;
-    }
-    let key: PlanKey = (pool.class_of(request.source), counts);
-    if let Some(cache) = cache.as_deref_mut() {
-        if let Some(cached) = cache.get(&key) {
-            return Ok(cached);
-        }
-    }
-    let typed =
-        TypedMulticast::new(pool.specs().to_vec(), key.0, key.1.clone()).map_err(|error| {
-            SimError::Instance {
-                session: request.id,
-                error,
-            }
-        })?;
-    let set = typed
-        .to_multicast_set()
-        .map_err(|error| SimError::Instance {
-            session: request.id,
-            error,
-        })?;
-    // Tree-node specs of the canonical instance, for repairer placement
-    // (the set is about to move into the plan request).
-    let tree_specs: Vec<NodeSpec> = (0..set.num_nodes()).map(|v| set.spec(NodeId(v))).collect();
-    let plan_request = PlanRequest::new(set, net).with_seed(request.id);
-    let plan = planner.plan_with(&plan_request, ctx)?;
-    let repairer = repair.map(|policy| Arc::new(policy.assign(&plan.tree, &tree_specs)));
-    let cached = Arc::new(CachedPlan {
-        children: Arc::new(children_lists(&plan.tree)),
-        locals_by_class: typed.node_ids_by_class(),
-        repairer,
-        planned_reception: plan.timing.reception_completion(),
-        planned_delivery: plan.timing.delivery_completion(),
-        tree: plan.tree,
-    });
-    if let Some(cache) = cache {
-        cache.insert(key, Arc::clone(&cached));
-    }
-    Ok(cached)
-}
-
 /// The one-node plan of a gateway with nothing local to serve.
 fn trivial_plan() -> CachedPlan {
     CachedPlan {
@@ -1533,37 +1365,20 @@ fn trivial_plan() -> CachedPlan {
     }
 }
 
-/// Builds an intra-shard session's runtime from a cached plan shape.
-fn runtime_from(pool: &NodePool, request: &SessionRequest, cached: &CachedPlan) -> SessionRuntime {
-    SessionRuntime {
-        id: request.id,
-        arrival: request.arrival,
-        deadline: request.patience.map(|p| request.arrival.saturating_add(p)),
-        node_map: bind_node_map(
-            pool,
-            request.source,
-            &request.members,
-            &cached.locals_by_class,
-        ),
-        children: Arc::clone(&cached.children),
-        repairer: cached.repairer.clone(),
-        planned_reception: cached.planned_reception,
-        planned_delivery: cached.planned_delivery,
-        started: None,
-        abandoned: false,
-        pending: request.members.len(),
-        completed_at: request.arrival,
-        delivered_at: request.arrival,
-        nacks: 0,
-        repair_sends: 0,
-        failed_members: 0,
-        repair_delays: Vec::new(),
-        chunks: 1,
-        chunk_interval: Time::ZERO,
-        chunk_deadline: None,
-        pipelined: true,
-        chunk_pending: Vec::new(),
-        chunk_completed_at: Vec::new(),
+/// Reorders `items` in place so that position `i` receives the element at
+/// `from[i]` (`from` is a permutation), following each cycle with swaps:
+/// no second buffer, and nothing moves for the identity.
+fn permute<T>(items: &mut [T], from: &[usize]) {
+    let mut placed = vec![false; items.len()];
+    for start in 0..items.len() {
+        let mut i = start;
+        while !placed[i] {
+            placed[i] = true;
+            if from[i] != start {
+                items.swap(i, from[i]);
+            }
+            i = from[i];
+        }
     }
 }
 
@@ -1603,6 +1418,7 @@ mod tests {
     use super::*;
     use crate::config::RunConfig;
     use crate::sessions::TrafficEngine;
+    use hnow_telemetry::TelemetryConfig;
     use hnow_workload::{
         default_message_size, two_class_table, ChurnProfile, HotSpotPattern, ShardedPattern,
     };
@@ -1925,51 +1741,12 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_cluster_matches_the_flat_engine_exactly() {
-        // The flat-vs-sharded parity regression: a 1-shard cluster with no
-        // cross traffic is the flat engine behind a dispatcher, so every
-        // per-session achieved R_T, D_T and queue delay must be identical
-        // — including under contention and churn, where the pre-unification
-        // engines' same-instant tie-breaks diverged.
-        let pool = pool();
-        let map = ShardMap::partition(&pool, 1).unwrap();
-        let mut requests = ShardedPattern::poisson(2.0, 5, 0.0)
-            .generate(&map, 80, 11)
-            .unwrap();
-        // Compress arrivals into a stampede and make a third impatient.
-        for (i, r) in requests.iter_mut().enumerate() {
-            r.arrival = Time::new(i as u64 / 4);
-            r.patience = (i % 3 == 0).then_some(Time::new(40));
-        }
-        for planner in ["greedy+leaf", "dp-optimal"] {
-            let cluster = ShardedCluster::with_config(
-                &pool,
-                NetParams::new(2),
-                &RunConfig::for_planner(planner).sharded(1),
-            )
-            .unwrap();
-            let sharded = cluster.run(&requests).unwrap();
-            let flat = TrafficEngine::with_config(
-                &pool,
-                NetParams::new(2),
-                &RunConfig::for_planner(planner),
-            )
-            .run(&requests)
-            .unwrap();
-            assert!(
-                sharded.per_session.iter().any(|s| s.record.abandoned),
-                "{planner}: the stampede must exercise the churn gate"
-            );
-            assert!(
-                sharded.per_session.iter().any(|s| s.record.queue_delay > 0),
-                "{planner}: the stampede must exercise contention"
-            );
-            assert_eq!(sharded.per_session.len(), flat.per_session.len());
-            for (s, f) in sharded.per_session.iter().zip(&flat.per_session) {
-                assert!(!s.cross);
-                assert_eq!(s.record, *f, "{planner}: flat/sharded parity");
-            }
-        }
+    fn permute_places_each_element_from_its_source() {
+        let mut items = vec!['a', 'b', 'c', 'd', 'e'];
+        permute(&mut items, &[2, 0, 1, 4, 3]);
+        assert_eq!(items, ['c', 'a', 'b', 'e', 'd']);
+        permute(&mut items, &[1, 2, 0, 4, 3]);
+        assert_eq!(items, ['a', 'b', 'c', 'd', 'e']);
     }
 
     #[test]
@@ -2157,6 +1934,32 @@ mod tests {
     }
 
     #[test]
+    fn chunk_trains_past_the_clock_headroom_are_rejected() {
+        use hnow_model::ChunkProfile;
+        let pool = pool();
+        let net = NetParams::new(2);
+        let mut requests = spaced_requests(&pool, 4, 0.5, 6);
+        // A request's own profile wins over the run default, on every
+        // surface: batch and controlled, intra- and cross-shard alike.
+        requests[3].chunks = Some(ChunkProfile::new(3, u64::MAX / 2));
+        for control in [None, Some(ControlConfig::default())] {
+            let mut config = RunConfig::default().sharded(4);
+            config.control = control;
+            let cluster = ShardedCluster::with_config(&pool, net, &config).unwrap();
+            assert!(matches!(
+                cluster.run(&requests),
+                Err(SimError::ReleaseOverflow { id }) if id == requests[3].id
+            ));
+            let default_train = config.with_chunks(ChunkProfile::new(2, u64::MAX / 4));
+            let cluster = ShardedCluster::with_config(&pool, net, &default_train).unwrap();
+            assert!(matches!(
+                cluster.run(&requests[1..]),
+                Err(SimError::ReleaseOverflow { id }) if id == requests[1].id
+            ));
+        }
+    }
+
+    #[test]
     fn contention_delays_but_never_loses_sharded_sessions() {
         let pool = pool();
         let map = ShardMap::partition(&pool, 2).unwrap();
@@ -2313,9 +2116,7 @@ mod tests {
             pool: &pool,
             map: roundtrip,
             net: NetParams::new(2),
-            config: config.cluster(),
-            threads: None,
-            telemetry: None,
+            config: config.clone(),
         };
         let requests = hot_requests(&pool, 4, 96, 17);
         let a = serde_json::to_string(&cluster.run(&requests).unwrap()).unwrap();

@@ -1,50 +1,35 @@
-//! The unified run configuration.
+//! The run configuration.
 //!
-//! Before this module, every execution surface grew its own config type:
-//! the flat engine took a [`TrafficConfig`], the sharded service wrapped
-//! that in a [`ShardedClusterConfig`], the control plane bolted a
-//! [`ControlConfig`] onto the side, and
-//! loss, repair and chunk profiles threaded through whichever of those
-//! happened to reach the engine. [`RunConfig`] is the one builder-style
-//! surface over all of them: pick a planner, dial loss/repair, stamp a
-//! default chunk profile, opt into sharding or the control plane, and pin
-//! a thread count — then hand the same value to
+//! [`RunConfig`] is the one builder-style surface over every execution
+//! knob of the crate: pick a planner, dial loss/repair, stamp a default
+//! chunk profile, opt into sharding or the control plane, and pin a thread
+//! count — then hand the same value to
 //! [`TrafficEngine::with_config`](crate::sessions::TrafficEngine::with_config)
 //! or
 //! [`ShardedCluster::with_config`](crate::cluster::ShardedCluster::with_config).
+//! Both engines store the config they were given; the flat engine runs it
+//! as a one-shard cluster.
 //!
 //! # Migration
 //!
-//! The pre-unification constructors (`TrafficEngine::new`,
-//! `ShardedCluster::new`) and the per-surface config builders
-//! (`TrafficConfig::for_planner`, `ShardedClusterConfig::with_shards`,
-//! `ShardedClusterConfig::for_planner`) shipped as deprecated shims for
-//! one release and are now gone. Ports are mechanical:
+//! The per-surface config structs and their projections are gone; ports
+//! are mechanical:
 //!
 //! | before | after |
 //! |---|---|
-//! | `TrafficEngine::new(p, n, TrafficConfig::default())` | `TrafficEngine::with_config(p, n, &RunConfig::default())` |
-//! | `TrafficEngine::new(p, n, TrafficConfig::for_planner("fnf"))` | `TrafficEngine::with_config(p, n, &RunConfig::for_planner("fnf"))` |
-//! | `ShardedCluster::new(p, n, ShardedClusterConfig::with_shards(4))` | `ShardedCluster::with_config(p, n, &RunConfig::default().sharded(4))` |
-//! | `config.traffic.loss = Some(profile)` | `RunConfig::default().with_loss(profile)` |
-//! | `config.control = Some(control)` | `.with_control(control)` |
-//!
-//! The old structs themselves ([`TrafficConfig`], [`ShardedClusterConfig`])
-//! remain as the engines' internal representation; [`RunConfig::traffic`]
-//! and [`RunConfig::cluster`] are the documented projections.
+//! | `TrafficConfig`, `ShardedClusterConfig` (`.with_control`), `RunConfig::traffic()`, `RunConfig::cluster()` | the same-named [`RunConfig`] fields and builders (`.sharded(n)`, `.with_control(c)`) |
 
-use crate::cluster::{ControlConfig, ShardedClusterConfig};
+use crate::cluster::ControlConfig;
 use crate::error::SimError;
 use crate::faults::LossProfile;
-use crate::sessions::TrafficConfig;
 use hnow_core::RepairPlacement;
 use hnow_model::ChunkProfile;
 use hnow_telemetry::TelemetryConfig;
 
 /// Runs `f` on a freshly built rayon pool of `threads` workers, or inline
-/// on the inherited pool when `threads` is `None`. Shared by both engines'
-/// `run` entry points so a pinned thread count means the same thing on
-/// every surface.
+/// on the inherited pool when `threads` is `None`. Every run goes through
+/// [`ShardedCluster::run`](crate::cluster::ShardedCluster::run), so a
+/// pinned thread count means the same thing on every surface.
 pub(crate) fn install_pool<T: Send>(
     threads: Option<usize>,
     f: impl FnOnce() -> T + Send,
@@ -71,7 +56,8 @@ pub struct RunConfig {
     /// Registry name of the planner serving every session (and, sharded,
     /// every gateway tree).
     pub planner: String,
-    /// Sessions admitted (planned) per batch.
+    /// Admission batch size, echoed by the flat report. Planning is
+    /// sequential in request order, so no other report byte depends on it.
     pub batch_size: usize,
     /// LRU capacity of the shared DP-table cache; `None` = unbounded.
     pub dp_cache_capacity: Option<usize>,
@@ -218,48 +204,11 @@ impl RunConfig {
         self.telemetry = Some(telemetry);
         self
     }
-
-    /// Projection onto the flat engine's internal [`TrafficConfig`].
-    pub fn traffic(&self) -> TrafficConfig {
-        TrafficConfig {
-            planner: self.planner.clone(),
-            batch_size: self.batch_size,
-            dp_cache_capacity: self.dp_cache_capacity,
-            loss: self.loss.clone(),
-            repair: self.repair,
-            chunks: self.chunks,
-        }
-    }
-
-    /// Projection onto the sharded service's internal
-    /// [`ShardedClusterConfig`]. A flat (`shards == 0`) config projects to
-    /// one shard.
-    pub fn cluster(&self) -> ShardedClusterConfig {
-        ShardedClusterConfig {
-            shards: self.shards.max(1),
-            traffic: self.traffic(),
-            plan_cache: self.plan_cache,
-            plan_cache_capacity: self.plan_cache_capacity,
-            control: self.control.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn projections_match_the_per_surface_defaults() {
-        let run = RunConfig::default();
-        assert_eq!(run.traffic(), TrafficConfig::default());
-        let cluster = run.cluster();
-        assert_eq!(cluster.shards, 1);
-        assert_eq!(cluster.traffic, TrafficConfig::default());
-        assert!(cluster.plan_cache);
-        assert_eq!(cluster.plan_cache_capacity, Some(256));
-        assert_eq!(cluster.control, None);
-    }
 
     #[test]
     fn builders_compose() {
@@ -269,16 +218,32 @@ mod tests {
             .with_threads(2)
             .with_batch_size(16);
         assert_eq!(run.planner, "fnf");
-        assert_eq!(run.cluster().shards, 4);
-        assert_eq!(run.traffic().chunks, Some(ChunkProfile::new(8, 25)));
+        assert_eq!(run.shards, 4);
+        assert_eq!(run.chunks, Some(ChunkProfile::new(8, 25)));
         assert_eq!(run.threads, Some(2));
-        assert_eq!(run.traffic().batch_size, 16);
+        assert_eq!(run.batch_size, 16);
     }
 
     #[test]
     fn flat_configs_project_to_one_shard() {
-        assert_eq!(RunConfig::default().cluster().shards, 1);
-        assert_eq!(RunConfig::default().sharded(0).cluster().shards, 1);
-        assert_eq!(RunConfig::default().sharded(3).cluster().shards, 3);
+        let pool = hnow_workload::NodePool::new(
+            hnow_workload::two_class_table(),
+            hnow_workload::default_message_size(),
+            &[4, 2],
+        )
+        .unwrap();
+        let shards = |config: RunConfig| {
+            crate::cluster::ShardedCluster::with_config(
+                &pool,
+                hnow_model::NetParams::new(1),
+                &config,
+            )
+            .unwrap()
+            .shard_map()
+            .num_shards()
+        };
+        assert_eq!(shards(RunConfig::default()), 1);
+        assert_eq!(shards(RunConfig::default().sharded(0)), 1);
+        assert_eq!(shards(RunConfig::default().sharded(3)), 3);
     }
 }

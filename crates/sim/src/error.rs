@@ -40,6 +40,15 @@ pub enum SimError {
         /// Id of the offending session.
         id: u64,
     },
+    /// A traffic session's last chunk release — `arrival + (chunks − 1) ·
+    /// interval` under its effective chunk profile, or just `arrival` for
+    /// an atomic session — overflows or exceeds `u64::MAX / 4`, leaving the
+    /// simulation clock no headroom for the overheads, latencies and
+    /// repair backoffs that follow it.
+    ReleaseOverflow {
+        /// Id of the offending session.
+        id: u64,
+    },
     /// A traffic session could not be turned into a valid multicast
     /// instance (e.g. the pool's class table violates the correlation
     /// assumption).
@@ -88,6 +97,10 @@ impl fmt::Display for SimError {
             SimError::MalformedSession { id } => write!(
                 f,
                 "session {id} references nodes outside the pool or reuses a node"
+            ),
+            SimError::ReleaseOverflow { id } => write!(
+                f,
+                "session {id}'s last chunk release leaves the simulation clock no headroom"
             ),
             SimError::Instance { session, error } => {
                 write!(f, "session {session} is not a valid instance: {error}")

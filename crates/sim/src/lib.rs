@@ -13,20 +13,23 @@
 //!
 //! * [`engine`] — the event-driven executor ([`execute`],
 //!   [`execute_with_specs`]).
-//! * [`sessions`] — the sessions-at-scale traffic engine: thousands of
-//!   overlapping multicast sessions planned in batches and executed against
-//!   shared per-node busy state ([`TrafficEngine`], [`TrafficReport`]).
-//! * [`cluster`] — the sharded cluster service: a front-end dispatcher over
-//!   per-shard engines with plan caches, gateway-stitched cross-shard
-//!   sessions, and component-wise simulation ([`ShardedCluster`],
-//!   [`ShardedTrafficReport`]). Both the traffic engine and the cluster run
-//!   the crate's single private occupancy kernel (`kernel`), so the two
-//!   surfaces share one documented same-instant tie-break rule.
-//! * [`config`] — the unified builder-style [`RunConfig`] consumed by both
-//!   engines via `with_config` (planner, loss/repair, chunk profile,
-//!   sharding, control plane, thread pinning, telemetry).
+//! * [`cluster`] — the crate's one traffic pipeline, the sharded cluster
+//!   service: a front-end dispatcher over per-shard planners with plan
+//!   caches, gateway-stitched cross-shard sessions, an optional online
+//!   control plane, and component-wise simulation through the crate's
+//!   single private occupancy kernel (`kernel`), so every surface shares
+//!   one documented same-instant tie-break rule ([`ShardedCluster`],
+//!   [`ShardedTrafficReport`]).
+//! * [`sessions`] — the flat traffic engine: thousands of overlapping
+//!   multicast sessions against shared per-node busy state over one flat
+//!   pool, served as a one-shard cluster run and reported in the flat
+//!   shape ([`TrafficEngine`], [`TrafficReport`]), plus the report types
+//!   both surfaces share.
+//! * [`config`] — the builder-style [`RunConfig`] both engines consume via
+//!   `with_config` (planner, loss/repair, chunk profile, sharding, control
+//!   plane, thread pinning, telemetry).
 //!
-//! Both engines carry an optional, strictly observation-only telemetry
+//! Every traffic run carries an optional, strictly observation-only telemetry
 //! layer (the `hnow-telemetry` crate, attached via
 //! [`RunConfig::telemetry`]): the occupancy kernel streams structured
 //! [`TraceEvent`](hnow_telemetry::TraceEvent)s into any
@@ -83,7 +86,7 @@ pub mod validate;
 
 pub use cluster::{
     ControlConfig, ControlPlaneReport, MigrationRecord, RebalanceConfig, ShardReport,
-    ShardedCluster, ShardedClusterConfig, ShardedSessionRecord, ShardedTrafficReport,
+    ShardedCluster, ShardedSessionRecord, ShardedTrafficReport,
 };
 pub use config::RunConfig;
 pub use engine::{execute, execute_with_specs};
@@ -92,8 +95,8 @@ pub use event::{Event, EventQueue};
 pub use faults::{BurstProfile, LossProfile};
 pub use perturb::{kernel_replay, PerturbConfig};
 pub use sessions::{
-    CacheStats, ReliabilityReport, SessionRecord, StreamingReport, TrafficConfig, TrafficEngine,
-    TrafficMetrics, TrafficReport,
+    CacheStats, ReliabilityReport, SessionRecord, StreamingReport, TrafficEngine, TrafficMetrics,
+    TrafficReport,
 };
 pub use trace::{Activity, BusyInterval, SimTrace};
 pub use validate::{check_against_analytic, check_one_port};

@@ -20,6 +20,7 @@ use crate::kernel;
 use crate::sessions::{children_lists, SessionRuntime};
 use hnow_core::ScheduleTree;
 use hnow_model::{MulticastSet, NetParams, NodeId, NodeSpec, Time};
+use hnow_workload::SessionRequest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -87,31 +88,23 @@ impl PerturbConfig {
 /// rule with the traffic engine, which the pre-unification replay
 /// (`execute_with_specs`) only mirrors by construction.
 pub fn kernel_replay(tree: &ScheduleTree, specs: &[NodeSpec], net: NetParams) -> (Time, Time) {
-    let mut session = SessionRuntime {
+    let request = SessionRequest {
         id: 0,
         arrival: Time::ZERO,
-        deadline: None,
-        node_map: (0..tree.num_nodes()).collect(),
-        children: Arc::new(children_lists(tree)),
-        repairer: None,
-        planned_reception: Time::ZERO,
-        planned_delivery: Time::ZERO,
-        started: None,
-        abandoned: false,
-        pending: tree.num_nodes() - 1,
-        completed_at: Time::ZERO,
-        delivered_at: Time::ZERO,
-        nacks: 0,
-        repair_sends: 0,
-        failed_members: 0,
-        repair_delays: Vec::new(),
-        chunks: 1,
-        chunk_interval: Time::ZERO,
-        chunk_deadline: None,
-        pipelined: true,
-        chunk_pending: Vec::new(),
-        chunk_completed_at: Vec::new(),
+        source: 0,
+        members: (1..tree.num_nodes()).collect(),
+        patience: None,
+        chunks: None,
     };
+    let mut session = SessionRuntime::new(
+        &request,
+        (0..tree.num_nodes()).collect(),
+        Arc::new(children_lists(tree)),
+        None,
+        Time::ZERO,
+        Time::ZERO,
+        None,
+    );
     kernel::simulate(specs, net, std::slice::from_mut(&mut session), None, None);
     (session.delivered_at, session.completed_at)
 }

@@ -1,88 +1,53 @@
-//! Sessions-at-scale: a deterministic traffic engine driving overlapping
-//! multicast sessions through the planner and a shared-resource simulation.
+//! Sessions-at-scale: the flat traffic engine and the report types every
+//! traffic surface shares.
 //!
 //! [`execute`](crate::execute) plays *one* schedule on an otherwise idle
 //! cluster. A multicast **service** instead sees a stream of sessions
 //! against the *same* workstations: while node `w` incurs sending overhead
 //! for session A it cannot receive or forward for session B, so overlapping
-//! sessions contend for node time. [`TrafficEngine`] models exactly that:
+//! sessions contend for node time. [`TrafficEngine`] serves such a stream
+//! over one flat pool:
 //!
 //! 1. **Admission** — [`SessionRequest`]s (from
-//!    [`hnow_workload::traffic`]) are planned in arrival order, in batches,
-//!    sequentially against one shared [`PlanContext`] (sequential planning
-//!    keeps the report's [`CacheStats`] deterministic). Each session is
-//!    reduced to its class signature, so the context's canonically-keyed
-//!    [`DpCache`](hnow_core::planner::DpCache) shares one Theorem 2 table
-//!    across every session of the cluster (bounded by
-//!    [`TrafficConfig::dp_cache_capacity`]).
-//! 2. **Delivery** — one pass of the shared occupancy kernel
-//!    (the crate-private `kernel` module, the same loop behind the
-//!    sharded cluster)
-//!    executes *all* planned trees against per-node busy state: an activity
-//!    wanting a busy node is deferred to the node's release time, with
-//!    same-instant ties broken by the kernel's documented `(time, band,
-//!    seq)` rule, so runs are reproducible. With no contention each session
-//!    reproduces its schedule's analytic times exactly.
+//!    [`hnow_workload::traffic`]) are planned in request order against one
+//!    shared [`PlanContext`] (sequential
+//!    planning keeps the report's [`CacheStats`] deterministic). Each
+//!    session is reduced to its class signature, so the context's
+//!    canonically-keyed [`DpCache`](hnow_core::planner::DpCache) shares one
+//!    Theorem 2 table across every session of the cluster (bounded by
+//!    [`RunConfig::dp_cache_capacity`]).
+//! 2. **Delivery** — the shared occupancy kernel (the crate-private
+//!    `kernel` module) executes every planned tree against per-node busy
+//!    state: an activity wanting a busy node is deferred to the node's
+//!    release time, with same-instant ties broken by the kernel's
+//!    documented `(time, band, seq)` rule, so runs are reproducible. With
+//!    no contention each session reproduces its schedule's analytic times
+//!    exactly.
 //! 3. **Churn** — a session whose source cannot start serving it within its
 //!    patience ([`SessionRequest::patience`]) abandons and leaves the
 //!    system unserved.
 //!
-//! The result is a serializable [`TrafficReport`]: per-session latency
-//! records plus engine-wide throughput, queueing, utilization and DP-cache
-//! statistics. The whole pipeline is deterministic — the same requests over
-//! the same pool yield a byte-identical JSON report.
+//! There is one traffic pipeline in the crate, and it lives in
+//! [`crate::cluster`]: a flat run *is* a one-shard
+//! [`ShardedCluster`] run (with plan caching off, so every session reaches
+//! the planner exactly as in a flat planning loop), projected into the
+//! flat [`TrafficReport`]. The result is per-session latency records plus
+//! engine-wide throughput, queueing, utilization and DP-cache statistics.
+//! The whole pipeline is deterministic — the same requests over the same
+//! pool yield a byte-identical JSON report.
 
+use crate::cluster::ShardedCluster;
+use crate::config::RunConfig;
 use crate::error::SimError;
-use crate::faults::LossProfile;
-use crate::kernel;
-use hnow_core::planner::{find, Plan, PlanContext, PlanRequest, Planner};
-use hnow_core::{RepairPlacement, ScheduleTree};
-use hnow_model::{ChunkProfile, NetParams, NodeSpec, Time, TypedMulticast};
+use hnow_core::planner::PlanContext;
+use hnow_core::ScheduleTree;
+use hnow_model::{ChunkProfile, NetParams, Time};
 use hnow_telemetry::{
-    LogHistogram, MemorySink, Recorder, TelemetryConfig, TelemetryReport, TimeSeries, TraceSink,
+    LogHistogram, MemorySink, TelemetryConfig, TelemetryReport, TimeSeries, TraceSink,
 };
 use hnow_workload::{NodePool, SessionRequest};
 use serde::Serialize;
 use std::sync::Arc;
-
-/// Configuration of a [`TrafficEngine`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrafficConfig {
-    /// Registry name of the planner serving every session.
-    pub planner: String,
-    /// Number of sessions admitted (planned) per `plan_many` batch.
-    pub batch_size: usize,
-    /// LRU capacity of the shared DP-table cache; `None` leaves it
-    /// unbounded (fine for single-cluster traffic, wasteful for long runs
-    /// over many message sizes or latencies).
-    pub dp_cache_capacity: Option<usize>,
-    /// Seeded message-loss injection; `None` (the default) runs the
-    /// lossless model. A `Some` profile with rate 0 everywhere is
-    /// guaranteed to reproduce the `None` report byte for byte.
-    pub loss: Option<LossProfile>,
-    /// Repairer placement policy annotated onto every admitted plan (only
-    /// consulted when [`TrafficConfig::loss`] is active).
-    pub repair: RepairPlacement,
-    /// Run-wide default chunk profile for streaming sessions. A request
-    /// carrying its own [`SessionRequest::chunks`] wins; `None` (the
-    /// default) leaves profile-less requests on the atomic path.
-    pub chunks: Option<ChunkProfile>,
-}
-
-impl Default for TrafficConfig {
-    /// Refined greedy, batches of 64, at most 128 cached DP tables, no
-    /// loss, source-only repair, atomic sessions.
-    fn default() -> Self {
-        TrafficConfig {
-            planner: "greedy+leaf".to_string(),
-            batch_size: 64,
-            dp_cache_capacity: Some(128),
-            loss: None,
-            repair: RepairPlacement::SourceOnly,
-            chunks: None,
-        }
-    }
-}
 
 /// DP-cache statistics of one engine run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -514,9 +479,9 @@ pub struct TrafficReport {
     pub telemetry: Option<TelemetryReport>,
 }
 
-/// Run-scoped trace destinations, shared by both engines: the user's sink
-/// (from [`TelemetryConfig::with_sink`]), the internal memory sink backing
-/// the report's `telemetry` time-series section
+/// Run-scoped trace destinations: the user's sink (from
+/// [`TelemetryConfig::with_sink`]), the internal memory sink backing the
+/// report's `telemetry` time-series section
 /// ([`TelemetryConfig::with_timeseries`]), or both. `None` when neither is
 /// attached — the kernel then sees no recorder and skips every emission
 /// site.
@@ -539,7 +504,8 @@ impl TraceDest {
         }
     }
 
-    /// The sink fan-out list a [`Recorder`] is built over.
+    /// The sink fan-out list a [`Recorder`](hnow_telemetry::Recorder) is
+    /// built over.
     pub(crate) fn sinks(&self) -> Vec<&dyn TraceSink> {
         let mut sinks: Vec<&dyn TraceSink> = Vec::new();
         if let Some(sink) = self.user.as_deref() {
@@ -565,15 +531,13 @@ impl TraceDest {
 pub struct TrafficEngine<'a> {
     pool: &'a NodePool,
     net: NetParams,
-    config: TrafficConfig,
-    threads: Option<usize>,
-    telemetry: Option<TelemetryConfig>,
+    config: RunConfig,
 }
 
-/// Per-session state during planning and simulation. Shared with the
-/// sharded cluster ([`crate::cluster`]), whose dispatcher builds these with
-/// pool-global node maps (and, for cross-shard sessions, stitched composed
-/// trees) before handing them to a discrete-event pass.
+/// Per-session state during planning and simulation: the sharded
+/// cluster's dispatcher ([`crate::cluster`]) builds these with pool-global
+/// node maps (and, for cross-shard sessions, stitched composed trees)
+/// before handing them to a discrete-event pass.
 pub(crate) struct SessionRuntime {
     /// Request id; the loss model keys its draws by it (never by slot or
     /// event order), so epoch slicing and sharding cannot change draws.
@@ -587,8 +551,8 @@ pub(crate) struct SessionRuntime {
     /// thousands of same-signature sessions.
     pub(crate) children: Arc<Vec<Vec<usize>>>,
     /// Local node → local id of its designated repairer (a
-    /// [`RepairPlacement`] assignment; `None` means source-only). Only
-    /// consulted by faulted kernel runs.
+    /// [`RepairPlacement`](hnow_core::RepairPlacement) assignment; `None`
+    /// means source-only). Only consulted by faulted kernel runs.
     pub(crate) repairer: Option<Arc<Vec<usize>>>,
     pub(crate) planned_reception: Time,
     pub(crate) planned_delivery: Time,
@@ -625,213 +589,130 @@ pub(crate) struct SessionRuntime {
 }
 
 impl SessionRuntime {
-    /// Stamps a chunk profile onto a freshly built atomic runtime: scales
-    /// `pending` to members × chunks and sizes the per-chunk bookkeeping.
-    /// `None` — or a degenerate 1-chunk profile — leaves the atomic
-    /// defaults untouched.
-    pub(crate) fn apply_chunks(&mut self, profile: Option<ChunkProfile>) {
-        let Some(profile) = profile else { return };
-        let chunks = profile.chunks.max(1);
-        self.chunks = chunks;
-        self.chunk_interval = Time::new(profile.interval);
-        self.chunk_deadline = profile.deadline.map(Time::new);
-        self.pipelined = profile.pipelined;
-        if chunks > 1 {
-            let members = self.pending;
-            self.pending = members * chunks as usize;
-            self.chunk_pending = vec![members; chunks as usize];
-            self.chunk_completed_at = vec![self.arrival; chunks as usize];
+    /// A fresh runtime for one admitted session. `node_map` binds the
+    /// plan's tree ids to pool nodes; `children` and `repairer` are the
+    /// plan's tree shape and repairer table. `chunks` — the request's own
+    /// profile or the run default — stamps the payload train: it scales
+    /// `pending` to members × chunks and sizes the per-chunk bookkeeping,
+    /// while `None` or a degenerate 1-chunk profile leaves the session on
+    /// the atomic path.
+    pub(crate) fn new(
+        request: &SessionRequest,
+        node_map: Vec<usize>,
+        children: Arc<Vec<Vec<usize>>>,
+        repairer: Option<Arc<Vec<usize>>>,
+        planned_reception: Time,
+        planned_delivery: Time,
+        chunks: Option<ChunkProfile>,
+    ) -> Self {
+        let members = request.members.len();
+        let mut runtime = SessionRuntime {
+            id: request.id,
+            arrival: request.arrival,
+            deadline: request.patience.map(|p| request.arrival.saturating_add(p)),
+            node_map,
+            children,
+            repairer,
+            planned_reception,
+            planned_delivery,
+            started: None,
+            abandoned: false,
+            pending: members,
+            completed_at: request.arrival,
+            delivered_at: request.arrival,
+            nacks: 0,
+            repair_sends: 0,
+            failed_members: 0,
+            repair_delays: Vec::new(),
+            chunks: 1,
+            chunk_interval: Time::ZERO,
+            chunk_deadline: None,
+            pipelined: true,
+            chunk_pending: Vec::new(),
+            chunk_completed_at: Vec::new(),
+        };
+        if let Some(profile) = chunks {
+            let chunks = profile.chunks.max(1);
+            runtime.chunks = chunks;
+            runtime.chunk_interval = Time::new(profile.interval);
+            runtime.chunk_deadline = profile.deadline.map(Time::new);
+            runtime.pipelined = profile.pipelined;
+            if chunks > 1 {
+                runtime.pending = members * chunks as usize;
+                runtime.chunk_pending = vec![members; chunks as usize];
+                runtime.chunk_completed_at = vec![request.arrival; chunks as usize];
+            }
         }
+        runtime
     }
 }
 
 impl<'a> TrafficEngine<'a> {
-    /// Creates an engine from the unified [`RunConfig`](crate::config::RunConfig)
-    /// surface (its sharding and control fields are ignored here).
-    pub fn with_config(
-        pool: &'a NodePool,
-        net: NetParams,
-        config: &crate::config::RunConfig,
-    ) -> Self {
+    /// Creates an engine from the unified [`RunConfig`] surface (its
+    /// sharding and control fields are ignored here).
+    pub fn with_config(pool: &'a NodePool, net: NetParams, config: &RunConfig) -> Self {
         TrafficEngine {
             pool,
             net,
-            config: config.traffic(),
-            threads: config.threads,
-            telemetry: config.telemetry.clone(),
+            config: config.clone(),
         }
+    }
+
+    /// The one-shard cluster behind this engine. Plan caching is off: a
+    /// plan-cache hit would skip the planner, and with it the DP-cache
+    /// lookup the flat report's [`CacheStats`] count.
+    pub(crate) fn cluster(&self) -> Result<ShardedCluster<'a>, SimError> {
+        let config = RunConfig {
+            shards: 1,
+            control: None,
+            ..self.config.clone()
+        }
+        .with_plan_cache(false, None);
+        ShardedCluster::with_config(self.pool, self.net, &config)
     }
 
     /// Plans and simulates the given sessions, returning the full report.
     ///
-    /// Requests are admitted (planned) in slice order in batches of
-    /// [`TrafficConfig::batch_size`]; the simulation then interleaves all
-    /// sessions by arrival time against shared per-node busy state. With
-    /// [`RunConfig::threads`](crate::config::RunConfig::threads) pinned,
-    /// the whole run executes on a dedicated rayon pool of that size — the
-    /// report is byte-identical at every thread count.
+    /// Requests are planned in slice order; the simulation then interleaves
+    /// all sessions by arrival time against shared per-node busy state.
+    /// With [`RunConfig::threads`] pinned, the whole run executes on a
+    /// dedicated rayon pool of that size — the report is byte-identical at
+    /// every thread count. An empty pool surfaces as
+    /// [`SimError::Sharding`].
     pub fn run(&self, requests: &[SessionRequest]) -> Result<TrafficReport, SimError> {
-        crate::config::install_pool(self.threads, || self.run_inner(requests))?
-    }
-
-    fn run_inner(&self, requests: &[SessionRequest]) -> Result<TrafficReport, SimError> {
-        let planner = find(&self.config.planner).ok_or_else(|| SimError::UnknownPlanner {
-            name: self.config.planner.clone(),
-        })?;
-        let ctx = match self.config.dp_cache_capacity {
-            Some(cap) => PlanContext::with_dp_capacity(cap),
-            None => PlanContext::new(),
-        };
-        let profiler = self.telemetry.as_ref().and_then(|t| t.profiler.clone());
-        let mut sessions = Vec::with_capacity(requests.len());
-        {
-            let _plan = profiler.as_ref().map(|p| p.span("plan"));
-            for batch in requests.chunks(self.config.batch_size.max(1)) {
-                sessions.extend(self.admit_batch(planner, batch, &ctx)?);
-            }
-        }
-        let cache = CacheStats::from_context(&ctx);
-        let specs: Vec<NodeSpec> = (0..self.pool.len())
-            .map(|g| self.pool.spec_of_node(g))
-            .collect();
-        let class_of: Vec<usize> = (0..self.pool.len())
-            .map(|g| self.pool.class_of(g))
-            .collect();
-        let faults = self.config.loss.as_ref().map(|profile| kernel::FaultCtx {
-            profile,
-            class_of: &class_of,
-        });
-        let trace = TraceDest::from(self.telemetry.as_ref());
-        let recorder = trace.as_ref().map(|t| Recorder::fanout(t.sinks()));
-        let busy_time = {
-            let _simulate = profiler.as_ref().map(|p| p.span("simulate"));
-            kernel::simulate(
-                &specs,
-                self.net,
-                &mut sessions,
-                faults.as_ref(),
-                recorder.as_ref(),
-            )
-        };
-        let telemetry = trace.and_then(|t| t.report(&[self.pool.len()]));
-        Ok(self.report(requests, &sessions, &busy_time, cache, telemetry))
-    }
-
-    /// Plans one admission batch and prepares the per-session runtimes.
-    pub(crate) fn admit_batch(
-        &self,
-        planner: &'static dyn Planner,
-        batch: &[SessionRequest],
-        ctx: &PlanContext,
-    ) -> Result<Vec<SessionRuntime>, SimError> {
-        let mut typeds = Vec::with_capacity(batch.len());
-        let mut plan_requests = Vec::with_capacity(batch.len());
-        for request in batch {
-            let typed = typed_for(self.pool, request)?;
-            let set = typed
-                .to_multicast_set()
-                .map_err(|error| SimError::Instance {
-                    session: request.id,
-                    error,
-                })?;
-            typeds.push(typed);
-            plan_requests.push(PlanRequest::new(set, self.net).with_seed(request.id));
-        }
-        // Planned sequentially, not through the parallel batch facade: the
-        // report's CacheStats are part of the byte-identical determinism
-        // contract, and racing parallel misses on the shared DP cache would
-        // make the hit/miss split depend on thread timing.
-        let repair = self.config.loss.as_ref().map(|_| self.config.repair);
-        let mut runtimes = Vec::with_capacity(batch.len());
-        for ((request, typed), plan_request) in batch.iter().zip(typeds).zip(&plan_requests) {
-            let plan = planner.plan_with(plan_request, ctx)?;
-            let mut runtime = runtime_for(self.pool, request, &typed, &plan, repair);
-            runtime.apply_chunks(request.chunks.or(self.config.chunks));
-            runtimes.push(runtime);
-        }
-        Ok(runtimes)
-    }
-
-    /// Assembles the final report.
-    fn report(
-        &self,
-        requests: &[SessionRequest],
-        sessions: &[SessionRuntime],
-        busy_time: &[u64],
-        cache: CacheStats,
-        telemetry: Option<TelemetryReport>,
-    ) -> TrafficReport {
-        let per_session: Vec<SessionRecord> = requests
-            .iter()
-            .zip(sessions)
-            .map(|(request, session)| record_for(request, session))
-            .collect();
-        let metrics = TrafficMetrics::from_records(&per_session, busy_time);
-        let reliability = ReliabilityReport::from_records(&per_session);
-        let streaming = StreamingReport::from_records(&per_session, metrics.makespan);
-        TrafficReport {
-            // Schema 5: optional trailing `telemetry` time-series section
-            // (4 added streaming + per-session chunk fields, 3 the
-            // reliability section, 2 the sharded gateway/control
-            // extension).
-            schema: 5,
-            planner: self.config.planner.clone(),
+        let report = self.cluster()?.run(requests)?;
+        let total = report.total;
+        Ok(TrafficReport {
+            schema: report.schema,
+            planner: report.planner,
             batch_size: self.config.batch_size,
-            net_latency: self.net.latency().raw(),
-            sessions: metrics.sessions,
-            completed: metrics.completed,
-            abandoned: metrics.abandoned,
-            makespan: metrics.makespan,
-            throughput_per_kilotick: metrics.throughput_per_kilotick,
-            mean_reception_latency: metrics.mean_reception_latency,
-            p50_reception_latency: metrics.p50_reception_latency,
-            p95_reception_latency: metrics.p95_reception_latency,
-            p99_reception_latency: metrics.p99_reception_latency,
-            mean_queue_delay: metrics.mean_queue_delay,
-            mean_node_utilization: metrics.mean_node_utilization,
-            peak_node_utilization: metrics.peak_node_utilization,
-            reliability,
-            streaming,
-            cache,
-            per_session,
-            telemetry,
-        }
+            net_latency: report.net_latency,
+            sessions: total.sessions,
+            completed: total.completed,
+            abandoned: total.abandoned,
+            makespan: total.makespan,
+            throughput_per_kilotick: total.throughput_per_kilotick,
+            mean_reception_latency: total.mean_reception_latency,
+            p50_reception_latency: total.p50_reception_latency,
+            p95_reception_latency: total.p95_reception_latency,
+            p99_reception_latency: total.p99_reception_latency,
+            mean_queue_delay: total.mean_queue_delay,
+            mean_node_utilization: total.mean_node_utilization,
+            peak_node_utilization: total.peak_node_utilization,
+            reliability: report.reliability,
+            streaming: report.streaming,
+            cache: report.per_shard[0].dp_cache,
+            per_session: report.per_session.into_iter().map(|s| s.record).collect(),
+            telemetry: report.telemetry,
+        })
     }
-}
-
-/// The session's class signature over its pool: validates the node ids
-/// (distinct, in range) and counts members per class.
-pub(crate) fn typed_for(
-    pool: &NodePool,
-    request: &SessionRequest,
-) -> Result<TypedMulticast, SimError> {
-    let n = pool.len();
-    let mut seen = vec![false; n];
-    let mut counts = vec![0usize; pool.k()];
-    if request.source >= n {
-        return Err(SimError::MalformedSession { id: request.id });
-    }
-    seen[request.source] = true;
-    for &member in &request.members {
-        if member >= n || seen[member] {
-            return Err(SimError::MalformedSession { id: request.id });
-        }
-        seen[member] = true;
-        counts[pool.class_of(member)] += 1;
-    }
-    TypedMulticast::new(pool.specs().to_vec(), pool.class_of(request.source), counts).map_err(
-        |error| SimError::Instance {
-            session: request.id,
-            error,
-        },
-    )
 }
 
 /// Binds abstract schedule-tree node ids to concrete pool nodes: tree id 0
 /// is the source, and each class's tree ids (`locals_by_class`, from
-/// [`TypedMulticast::node_ids_by_class`]) are matched to the session's
-/// members of that class in ascending pool-id order, so the binding is
-/// deterministic.
+/// [`TypedMulticast::node_ids_by_class`](hnow_model::TypedMulticast::node_ids_by_class))
+/// are matched to the session's members of that class in ascending pool-id
+/// order, so the binding is deterministic.
 pub(crate) fn bind_node_map(
     pool: &NodePool,
     source: usize,
@@ -866,58 +747,6 @@ pub(crate) fn children_lists(tree: &ScheduleTree) -> Vec<Vec<usize>> {
                 .collect()
         })
         .collect()
-}
-
-/// Binds a plan's abstract schedule tree to the session's concrete pool
-/// nodes and sets up the runtime bookkeeping. `typed` is the signature
-/// [`typed_for`] produced for this request at admission; `repair`, when
-/// set, annotates the tree with repairer assignments for faulted runs.
-pub(crate) fn runtime_for(
-    pool: &NodePool,
-    request: &SessionRequest,
-    typed: &TypedMulticast,
-    plan: &Plan,
-    repair: Option<RepairPlacement>,
-) -> SessionRuntime {
-    // Schedule-tree node ids are over the canonical multicast set; map
-    // them back to pool nodes class by class. Within a class both sides
-    // are ascending (node_ids_by_class and the sorted member list), so
-    // the binding is deterministic.
-    let node_map = bind_node_map(
-        pool,
-        request.source,
-        &request.members,
-        &typed.node_ids_by_class(),
-    );
-    let repairer = repair.map(|policy| {
-        let specs: Vec<NodeSpec> = node_map.iter().map(|&g| pool.spec_of_node(g)).collect();
-        Arc::new(policy.assign(&plan.tree, &specs))
-    });
-    SessionRuntime {
-        id: request.id,
-        arrival: request.arrival,
-        deadline: request.patience.map(|p| request.arrival.saturating_add(p)),
-        node_map,
-        children: Arc::new(children_lists(&plan.tree)),
-        repairer,
-        planned_reception: plan.timing.reception_completion(),
-        planned_delivery: plan.timing.delivery_completion(),
-        started: None,
-        abandoned: false,
-        pending: request.members.len(),
-        completed_at: request.arrival,
-        delivered_at: request.arrival,
-        nacks: 0,
-        repair_sends: 0,
-        failed_members: 0,
-        repair_delays: Vec::new(),
-        chunks: 1,
-        chunk_interval: Time::ZERO,
-        chunk_deadline: None,
-        pipelined: true,
-        chunk_pending: Vec::new(),
-        chunk_completed_at: Vec::new(),
-    }
 }
 
 /// Builds the serializable record of one finished session.
@@ -1154,7 +983,10 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RunConfig;
+    use crate::faults::LossProfile;
+    use crate::kernel;
+    use hnow_core::RepairPlacement;
+    use hnow_model::NodeSpec;
     use hnow_workload::{
         default_message_size, two_class_table, ChurnProfile, GroupSizeDist, TrafficPattern,
     };
@@ -1432,14 +1264,12 @@ mod tests {
         config: &RunConfig,
         requests: &[SessionRequest],
     ) -> Vec<SessionRuntime> {
-        let engine = TrafficEngine::with_config(pool, net, config);
-        let planner = find(&config.planner).unwrap();
-        let ctx = PlanContext::with_dp_capacity(128);
-        let mut sessions = Vec::new();
-        for batch in requests.chunks(config.batch_size.max(1)) {
-            sessions.extend(engine.admit_batch(planner, batch, &ctx).unwrap());
-        }
-        sessions
+        TrafficEngine::with_config(pool, net, config)
+            .cluster()
+            .unwrap()
+            .plan_batch(requests)
+            .unwrap()
+            .runtimes
     }
 
     #[test]
@@ -1491,6 +1321,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn split_contact_graphs_match_one_reference_pass() {
+        // The flat engine simulates per contact component. Confine even
+        // sessions to one half of the pool and odd sessions to the other,
+        // under contention and churn: the run must split into components,
+        // and its records must still equal one pass of the reference loop
+        // over every session.
+        let pool = pool();
+        let net = NetParams::new(2);
+        let half = NodePool::new(two_class_table(), default_message_size(), &[4, 2]).unwrap();
+        let pattern = TrafficPattern {
+            arrivals: hnow_workload::ArrivalProfile::Poisson { mean_gap: 2.0 },
+            group_size: GroupSizeDist::Uniform { min: 2, max: 5 },
+            class_weights: None,
+            churn: Some(ChurnProfile {
+                impatient_fraction: 0.4,
+                mean_patience: 20.0,
+            }),
+        };
+        let mut requests = pattern.generate(&half, 80, 7).unwrap();
+        // Half-pool ids 0..4 are class 0 and 4..6 class 1; the full pool's
+        // class 0 is 0..8 and class 1 is 8..12.
+        for (i, request) in requests.iter_mut().enumerate() {
+            let (class0, class1) = if i % 2 == 0 { (0, 8) } else { (4, 10) };
+            let lift = |v: usize| if v < 4 { class0 + v } else { class1 + v - 4 };
+            request.source = lift(request.source);
+            for member in &mut request.members {
+                *member = lift(*member);
+            }
+        }
+        let engine = TrafficEngine::with_config(&pool, net, &RunConfig::default());
+        let report = engine.run(&requests).unwrap();
+        let cluster = engine.cluster().unwrap();
+        assert!(cluster.run(&requests).unwrap().components >= 2);
+        assert!(report.per_session.iter().any(|r| r.abandoned));
+        assert!(report.per_session.iter().any(|r| r.queue_delay > 0));
+        let specs: Vec<NodeSpec> = (0..pool.len()).map(|g| pool.spec_of_node(g)).collect();
+        let mut sessions = admit_all(&pool, net, &RunConfig::default(), &requests);
+        reference::simulate(&specs, net, &mut sessions);
+        let expected: Vec<SessionRecord> = requests
+            .iter()
+            .zip(&sessions)
+            .map(|(request, session)| record_for(request, session))
+            .collect();
+        assert_eq!(report.per_session, expected);
+    }
+
+    #[test]
+    fn chunk_trains_past_the_clock_headroom_are_rejected() {
+        let pool = pool();
+        let mut requests = spaced_requests(&pool, 3, 100);
+        let config = RunConfig::default().with_chunks(ChunkProfile::new(4, i64::MAX as u64));
+        let engine = TrafficEngine::with_config(&pool, NetParams::new(2), &config);
+        assert!(matches!(
+            engine.run(&requests),
+            Err(SimError::ReleaseOverflow { id }) if id == requests[0].id
+        ));
+        // A train that stays under the headroom runs.
+        let config = RunConfig::default().with_chunks(ChunkProfile::new(4, 1 << 40));
+        let engine = TrafficEngine::with_config(&pool, NetParams::new(2), &config);
+        assert_eq!(engine.run(&requests).unwrap().completed, 3);
+        // An atomic session arriving past the headroom is rejected too.
+        requests[2].arrival = Time::new(u64::MAX / 2);
+        let engine = TrafficEngine::with_config(&pool, NetParams::new(2), &RunConfig::default());
+        assert!(matches!(
+            engine.run(&requests),
+            Err(SimError::ReleaseOverflow { id }) if id == requests[2].id
+        ));
     }
 
     fn lossy_config(rate: f64, seed: u64, repair: RepairPlacement) -> RunConfig {

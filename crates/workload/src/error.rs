@@ -41,6 +41,12 @@ pub enum WorkloadError {
     /// An arrival profile cannot generate a meaningful stream (non-positive
     /// or non-finite Poisson mean gap, zero-session bursts).
     DegenerateArrivals,
+    /// A Poisson arrival clock overflowed `u64` (the mean gap is too large
+    /// for the requested session count).
+    ArrivalOverflow {
+        /// Id of the first session whose arrival does not fit.
+        session: u64,
+    },
     /// A shard partition was requested with zero shards or more shards than
     /// the pool has nodes.
     InvalidShardCount {
@@ -88,6 +94,10 @@ impl fmt::Display for WorkloadError {
             WorkloadError::DegenerateArrivals => write!(
                 f,
                 "arrival profile needs a positive finite mean gap / burst size"
+            ),
+            WorkloadError::ArrivalOverflow { session } => write!(
+                f,
+                "session {session}'s arrival time overflows the u64 clock"
             ),
             WorkloadError::InvalidShardCount { shards, nodes } => {
                 write!(f, "cannot split a {nodes}-node pool into {shards} shard(s)")

@@ -89,7 +89,7 @@ impl HotSpotPattern {
         let mut clock = 0u64;
         let mut used = vec![false; pool_len];
         for id in 0..sessions as u64 {
-            let arrival = self.base.sample_arrival(&mut rng, &mut clock, id);
+            let arrival = self.base.sample_arrival(&mut rng, &mut clock, id)?;
             let nominal = self.base.sample_group(&mut rng);
             let hot_shard = (id as usize / self.phase_sessions) % map.num_shards();
             let hot = rng.next_f64() < self.hot_fraction;

@@ -247,7 +247,7 @@ impl ShardedPattern {
         let mut clock = 0u64;
         let mut used = vec![false; pool_len];
         for id in 0..sessions as u64 {
-            let arrival = self.base.sample_arrival(&mut rng, &mut clock, id);
+            let arrival = self.base.sample_arrival(&mut rng, &mut clock, id)?;
             let nominal = self.base.sample_group(&mut rng);
             let cross = map.num_shards() > 1 && rng.next_f64() < self.cross_shard_fraction;
 

@@ -238,7 +238,7 @@ impl TrafficPattern {
         let mut clock = 0u64;
         let mut used = vec![false; pool.len()];
         for id in 0..sessions as u64 {
-            let arrival = self.sample_arrival(&mut rng, &mut clock, id);
+            let arrival = self.sample_arrival(&mut rng, &mut clock, id)?;
             let group = self.sample_group(&mut rng).min(pool.len() - 1);
 
             used.fill(false);
@@ -302,14 +302,24 @@ impl TrafficPattern {
     }
 
     /// Samples session `id`'s arrival time (`clock` accumulates Poisson
-    /// gaps across calls).
-    pub(crate) fn sample_arrival(&self, rng: &mut StdRng, clock: &mut u64, id: u64) -> u64 {
+    /// gaps across calls). A clock that would pass `u64::MAX` is rejected
+    /// rather than wrapped or saturated into a bogus arrival.
+    pub(crate) fn sample_arrival(
+        &self,
+        rng: &mut StdRng,
+        clock: &mut u64,
+        id: u64,
+    ) -> Result<u64, WorkloadError> {
         match self.arrivals {
             ArrivalProfile::Poisson { mean_gap } => {
-                *clock += exponential(rng, mean_gap);
-                *clock
+                *clock = clock
+                    .checked_add(exponential(rng, mean_gap))
+                    .ok_or(WorkloadError::ArrivalOverflow { session: id })?;
+                Ok(*clock)
             }
-            ArrivalProfile::Bursty { burst, period } => period.saturating_mul(id / burst as u64),
+            ArrivalProfile::Bursty { burst, period } => {
+                Ok(period.saturating_mul(id / burst as u64))
+            }
         }
     }
 
@@ -456,6 +466,28 @@ mod tests {
         assert_eq!(a, b);
         let c = pattern.generate(&pool, 50, 8).unwrap();
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn arrival_clock_overflow_is_a_typed_error() {
+        // A gap this large saturates to u64::MAX on its own, so the second
+        // arrival cannot fit; the sharded generator shares the clock.
+        let pool = pool();
+        let pattern = TrafficPattern::poisson(1e300, 2);
+        assert!(matches!(
+            pattern.generate(&pool, 20, 3),
+            Err(WorkloadError::ArrivalOverflow { session: 1 })
+        ));
+        let map = crate::ShardMap::partition(&pool, 2).unwrap();
+        assert_eq!(pattern.generate(&pool, 1, 3).unwrap().len(), 1);
+        let sharded = crate::ShardedPattern {
+            base: pattern,
+            cross_shard_fraction: 0.5,
+        };
+        assert!(matches!(
+            sharded.generate(&map, 20, 3),
+            Err(WorkloadError::ArrivalOverflow { .. })
+        ));
     }
 
     #[test]
