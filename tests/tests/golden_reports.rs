@@ -5,7 +5,10 @@
 //! cannot see a change that moves a report deterministically. This table
 //! can: every entry is the 64-bit FNV-1a of `serde_json::to_string(&report)`
 //! for one 500-session run, plus a few headline fields so a mismatch is
-//! readable without a debugger.
+//! readable without a debugger. The `pretty/` rows digest
+//! `serde_json::to_string_pretty` of a lossy and a streaming config on each
+//! engine, and of the flat time-series config, instead: that is the form
+//! `traffic_demo --out` and the perf ledger write.
 //!
 //! On a mismatch the test prints the freshly computed table. Regenerate the
 //! checked-in file with
@@ -39,15 +42,40 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// Configs whose pretty-printed report is pinned as well.
+const PRETTY: [&str; 5] = [
+    "flat/loss-subtree-root",
+    "flat/chunks8-pipelined-deadline",
+    "flat/timeseries100",
+    "sharded4/loss",
+    "sharded4/chunks8",
+];
+
 /// One table row: the digest of the serialized report plus its headline.
-fn row(name: &str, seed: u64, report: &impl Serialize, headline: (usize, usize, u64)) -> String {
-    let json = serde_json::to_string(report).expect("reports serialize");
+fn row(name: &str, seed: u64, json: &str, headline: (usize, usize, u64)) -> String {
     let (sessions, completed, p99) = headline;
     format!(
         "  \"{name}/seed{seed}\": {{\"fnv1a\": \"{:016x}\", \"sessions\": {sessions}, \
          \"completed\": {completed}, \"p99\": {p99}}}",
         fnv1a(json.as_bytes())
     )
+}
+
+/// Appends the compact row of `report` to `rows` and, for the configs in
+/// [`PRETTY`], its pretty row to `pretty`.
+fn push_rows(
+    rows: &mut Vec<String>,
+    pretty: &mut Vec<String>,
+    (name, seed): (&str, u64),
+    report: &impl Serialize,
+    headline: (usize, usize, u64),
+) {
+    let json = serde_json::to_string(report).expect("reports serialize");
+    rows.push(row(name, seed, &json, headline));
+    if PRETTY.contains(&name) {
+        let json = serde_json::to_string_pretty(report).expect("reports serialize");
+        pretty.push(row(&format!("pretty/{name}"), seed, &json, headline));
+    }
 }
 
 /// The traffic_demo pool: 48 nodes in two classes.
@@ -152,6 +180,7 @@ fn fresh_table() -> String {
     let net = NetParams::new(2);
     let map = ShardMap::partition(&pool, 4).unwrap();
     let mut rows = Vec::new();
+    let mut pretty = Vec::new();
     for seed in SEEDS {
         for (name, config, churn) in flat_cases(seed) {
             let mut pattern = TrafficPattern::poisson(12.0, 6);
@@ -165,7 +194,7 @@ fn fresh_table() -> String {
                 report.completed,
                 report.p99_reception_latency,
             );
-            rows.push(row(name, seed, &report, headline));
+            push_rows(&mut rows, &mut pretty, (name, seed), &report, headline);
         }
         for (name, config, churn) in sharded_cases(seed) {
             let mut pattern = ShardedPattern::poisson(12.0, 6, 0.2);
@@ -180,9 +209,10 @@ fn fresh_table() -> String {
                 report.total.completed,
                 report.total.p99_reception_latency,
             );
-            rows.push(row(name, seed, &report, headline));
+            push_rows(&mut rows, &mut pretty, (name, seed), &report, headline);
         }
     }
+    rows.append(&mut pretty);
     format!("{{\n{}\n}}\n", rows.join(",\n"))
 }
 
