@@ -14,9 +14,9 @@
 //! (`stream_soak`, the flat engine moving 8-chunk trains, pipelined and
 //! sequential, against the atomic anchor), and a telemetry-overhead group
 //! (`telemetry_overhead`, the pipelined train untraced, with an attached
-//! trace sink, and with the time-series collector) — and
-//! renders the
-//! results as a serializable [`BaselineReport`], written to
+//! trace sink, and with the time-series collector), and an emission group
+//! (`emit`, compact and pretty JSON of one prebuilt 4-shard report) — and
+//! renders the results as a serializable [`BaselineReport`], written to
 //! `BENCH_core.json` by the `perf_baseline` example binary. The checked-in
 //! file is the repo's perf trajectory: one point per PR that touches a hot
 //! path, and [`compare`] diffs two reports entry by entry — the CI
@@ -134,6 +134,7 @@ pub fn run(mode: BaselineMode) -> BaselineReport {
     lossy_soak_cases(mode, &mut cases);
     stream_soak_cases(mode, &mut cases);
     telemetry_overhead_cases(mode, &mut cases);
+    emit_cases(mode, &mut cases);
     BaselineReport {
         schema: 1,
         mode: mode.label().to_string(),
@@ -636,6 +637,44 @@ fn telemetry_overhead_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
     }
 }
 
+/// Report emission: `serde_json::to_string` and `to_string_pretty` of one
+/// 4-shard report (cross fraction 0.2), built once outside the timed loop,
+/// so the pair prices serialization alone — the layer that writes every
+/// report `traffic_demo --out` and the end-to-end benchmark emit.
+fn emit_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
+    let net = NetParams::new(2);
+    let pool = NodePool::new(two_class_table(), MessageSize::from_kib(4), &[32, 16])
+        .expect("emit pool is valid");
+    let shards = 4;
+    let (sessions, iters) = match mode {
+        BaselineMode::Quick => (256usize, 3u64),
+        BaselineMode::Full => (10_000, 5),
+    };
+    let map = ShardMap::partition(&pool, shards).expect("emit partition is valid");
+    let requests = ShardedPattern::poisson(12.0, 6, 0.2)
+        .generate(&map, sessions, 0xBEEF)
+        .expect("emit pattern is valid");
+    let report = ShardedCluster::with_config(&pool, net, &RunConfig::default().sharded(shards))
+        .expect("emit cluster is valid")
+        .run(&requests)
+        .expect("emit run succeeds");
+    let variants: [(&str, fn(&_) -> _); 2] = [
+        ("compact", serde_json::to_string),
+        ("pretty", serde_json::to_string_pretty),
+    ];
+    for (variant, emit) in variants {
+        cases.push(time_case(
+            "emit",
+            format!("emit/{variant}/{sessions}"),
+            sessions as u64,
+            iters,
+            || {
+                black_box(emit(black_box(&report)).expect("reports serialize"));
+            },
+        ));
+    }
+}
+
 /// How one baseline entry moved between two reports.
 #[derive(Debug, Clone, Serialize)]
 pub struct CaseDelta {
@@ -799,6 +838,8 @@ mod tests {
                 "telemetry_overhead/off/64",
                 "telemetry_overhead/sink/64",
                 "telemetry_overhead/timeseries/64",
+                "emit/compact/256",
+                "emit/pretty/256",
             ]
         );
         for case in &report.cases {
