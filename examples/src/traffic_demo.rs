@@ -313,7 +313,7 @@ fn run_flat(
     if let Err(code) = write_trace(trace) {
         return code;
     }
-    write_json(out, &report)
+    write_report(out, &report)
 }
 
 /// Prints the reliability section of a lossy run's report.
@@ -463,11 +463,11 @@ fn run_sharded(
     if let Err(code) = write_trace(trace) {
         return code;
     }
-    write_json(out, &report)
+    write_report(out, &report)
 }
 
 /// Serializes a report to `--out` as pretty JSON (no-op without `--out`).
-fn write_json<T: serde::Serialize>(out: Option<String>, report: &T) -> ExitCode {
+fn write_report<T: serde::Serialize>(out: Option<String>, report: &T) -> ExitCode {
     if let Some(path) = out {
         let json = match serde_json::to_string_pretty(report) {
             Ok(json) => json,
