@@ -1,6 +1,7 @@
 //! Chrome `trace_event` JSON export of a collected trace stream.
 
 use crate::event::TraceEvent;
+use std::fmt::{self, Write as _};
 
 /// Deterministic export order: group by shard, then node port, then time,
 /// with the kernel's own `(band, seq)` and the remaining fields as
@@ -41,27 +42,39 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         if i > 0 {
             out.push(',');
         }
-        let pid = ev.shard.unwrap_or(0);
-        let tid = ev.node.unwrap_or(0);
-        let name = ev.kind.name();
-        if ev.kind.is_occupancy() {
-            out.push_str(&format!(
-                "{{\"name\":\"{name}\",\"cat\":\"occupancy\",\"ph\":\"X\",\
-                 \"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{tid},\
-                 \"args\":{{\"session\":{},\"chunk\":{},\"band\":{},\"seq\":{}}}}}",
-                ev.time, ev.dur, ev.session, ev.chunk, ev.band, ev.seq
-            ));
-        } else {
-            out.push_str(&format!(
-                "{{\"name\":\"{name}\",\"cat\":\"kernel\",\"ph\":\"i\",\"s\":\"t\",\
-                 \"ts\":{},\"pid\":{pid},\"tid\":{tid},\
-                 \"args\":{{\"session\":{},\"chunk\":{},\"band\":{},\"seq\":{}}}}}",
-                ev.time, ev.session, ev.chunk, ev.band, ev.seq
-            ));
-        }
+        // Writing into a `String` cannot fail.
+        let _ = write_event(&mut out, ev);
     }
     out.push_str("]}");
     out
+}
+
+/// Appends one event's JSON object to `out`.
+fn write_event(out: &mut String, ev: &TraceEvent) -> fmt::Result {
+    let pid = ev.shard.unwrap_or(0);
+    let tid = ev.node.unwrap_or(0);
+    let name = ev.kind.name();
+    if ev.kind.is_occupancy() {
+        write!(
+            out,
+            "{{\"name\":\"{name}\",\"cat\":\"occupancy\",\"ph\":\"X\",\
+             \"ts\":{},\"dur\":{},",
+            ev.time, ev.dur
+        )?;
+    } else {
+        write!(
+            out,
+            "{{\"name\":\"{name}\",\"cat\":\"kernel\",\"ph\":\"i\",\"s\":\"t\",\
+             \"ts\":{},",
+            ev.time
+        )?;
+    }
+    write!(
+        out,
+        "\"pid\":{pid},\"tid\":{tid},\
+         \"args\":{{\"session\":{},\"chunk\":{},\"band\":{},\"seq\":{}}}}}",
+        ev.session, ev.chunk, ev.band, ev.seq
+    )
 }
 
 #[cfg(test)]

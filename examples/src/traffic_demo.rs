@@ -8,7 +8,7 @@
 //!              [--group N] [--churn] [--shards N] [--cross-shard-frac F]
 //!              [--policy NAME] [--rebalance] [--loss RATE] [--repair NAME]
 //!              [--chunks N] [--chunk-interval T] [--sequential]
-//!              [--threads N] [--out PATH] [--trace PATH]
+//!              [--threads N] [--out PATH] [--trace PATH [--check-trace]]
 //! ```
 //!
 //! A seeded Poisson session stream (default: 1000 sessions, mean gap 12,
@@ -40,7 +40,11 @@
 //! PATH as Chrome `trace_event` JSON (load it in `chrome://tracing` or
 //! Perfetto: one process per shard, one thread lane per node port);
 //! tracing is observation-only, so the report — and `--out` — stay
-//! byte-identical with the flag on or off.
+//! byte-identical with the flag on or off. `--check-trace` (requires
+//! `--trace`) also runs the kernel invariant checker
+//! ([`hnow_telemetry::check_invariants`]: event bands, one-port occupancy,
+//! FIFO order, causality) over the collected events and exits non-zero on
+//! the first violation, after the trace is written.
 //!
 //! Every flag maps 1:1 onto a [`RunConfig`] field, so a demo invocation is
 //! a readable specification of the engine configuration it measured.
@@ -50,7 +54,7 @@ use hnow_model::{ChunkProfile, NetParams};
 use hnow_sim::cluster::{ControlConfig, RebalanceConfig, ShardedCluster};
 use hnow_sim::sessions::TrafficEngine;
 use hnow_sim::{LossProfile, ReliabilityReport, RunConfig, StreamingReport};
-use hnow_telemetry::{chrome_trace_json, MemorySink, TelemetryConfig};
+use hnow_telemetry::{check_invariants, chrome_trace_json, MemorySink, TelemetryConfig};
 use hnow_workload::traffic::{ChurnProfile, NodePool, TrafficPattern};
 use hnow_workload::{default_message_size, two_class_table, ShardMap, ShardedPattern};
 use std::process::ExitCode;
@@ -84,6 +88,7 @@ fn main() -> ExitCode {
     let mut threads: Option<usize> = None;
     let mut out: Option<String> = None;
     let mut trace_out: Option<String> = None;
+    let mut check_trace = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut take = |what: &str| {
@@ -115,6 +120,7 @@ fn main() -> ExitCode {
             "--threads" => threads = Some(parse("--threads", take("--threads"))),
             "--out" => out = Some(take("--out")),
             "--trace" => trace_out = Some(take("--trace")),
+            "--check-trace" => check_trace = true,
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
@@ -122,7 +128,8 @@ fn main() -> ExitCode {
                      [--mean-gap G] [--group N] [--churn] [--shards N] \
                      [--cross-shard-frac F] [--policy NAME] [--rebalance] \
                      [--loss RATE] [--repair NAME] [--chunks N] [--chunk-interval T] \
-                     [--sequential] [--threads N] [--out PATH] [--trace PATH]"
+                     [--sequential] [--threads N] [--out PATH] \
+                     [--trace PATH [--check-trace]]"
                 );
                 return ExitCode::FAILURE;
             }
@@ -158,6 +165,10 @@ fn main() -> ExitCode {
     }
     if (chunk_interval.is_some() || sequential) && chunks.is_none() {
         eprintln!("--chunk-interval and --sequential require --chunks");
+        return ExitCode::FAILURE;
+    }
+    if check_trace && trace_out.is_none() {
+        eprintln!("--check-trace requires --trace");
         return ExitCode::FAILURE;
     }
     let placement = match repair.as_deref() {
@@ -203,9 +214,13 @@ fn main() -> ExitCode {
     }
     // Observation-only: attaching the sink never changes the report.
     let sink = trace_out
-        .map(|path| (path, Arc::new(MemorySink::new())))
-        .inspect(|(_, sink)| {
-            config.telemetry = Some(TelemetryConfig::new().with_sink(sink.clone()));
+        .map(|path| Trace {
+            path,
+            sink: Arc::new(MemorySink::new()),
+            check: check_trace,
+        })
+        .inspect(|trace| {
+            config.telemetry = Some(TelemetryConfig::new().with_sink(trace.sink.clone()));
         });
 
     let pool = match NodePool::new(two_class_table(), default_message_size(), &[32, 16]) {
@@ -239,16 +254,33 @@ fn main() -> ExitCode {
     }
 }
 
-/// Exports the collected trace as Chrome `trace_event` JSON (no-op without
+/// The `--trace` destination and the sink collecting its events.
+struct Trace {
+    path: String,
+    sink: Arc<MemorySink>,
+    /// `--check-trace`: run the kernel invariant checker on the events.
+    check: bool,
+}
+
+/// Exports the collected trace as Chrome `trace_event` JSON, then checks
+/// its invariants if `--check-trace` asked for it (no-op without
 /// `--trace`).
-fn write_trace(trace: Option<(String, Arc<MemorySink>)>) -> Result<(), ExitCode> {
-    if let Some((path, sink)) = trace {
-        let events = sink.take();
-        if let Err(err) = std::fs::write(&path, chrome_trace_json(&events) + "\n") {
-            eprintln!("failed to write {path}: {err}");
+fn write_trace(trace: Option<Trace>) -> Result<(), ExitCode> {
+    let Some(Trace { path, sink, check }) = trace else {
+        return Ok(());
+    };
+    let events = sink.take();
+    if let Err(err) = std::fs::write(&path, chrome_trace_json(&events) + "\n") {
+        eprintln!("failed to write {path}: {err}");
+        return Err(ExitCode::FAILURE);
+    }
+    println!("wrote {} trace events to {path}", events.len());
+    if check {
+        if let Err(violation) = check_invariants(&events) {
+            eprintln!("trace invariant violated: {violation}");
             return Err(ExitCode::FAILURE);
         }
-        println!("wrote {} trace events to {path}", events.len());
+        println!("trace invariants hold over {} events", events.len());
     }
     Ok(())
 }
@@ -261,7 +293,7 @@ fn run_flat(
     seed: u64,
     config: &RunConfig,
     out: Option<String>,
-    trace: Option<(String, Arc<MemorySink>)>,
+    trace: Option<Trace>,
 ) -> ExitCode {
     let requests = match pattern.generate(pool, sessions, seed) {
         Ok(requests) => requests,
@@ -367,7 +399,7 @@ fn run_sharded(
     config: &RunConfig,
     cross_frac: f64,
     out: Option<String>,
-    trace: Option<(String, Arc<MemorySink>)>,
+    trace: Option<Trace>,
 ) -> ExitCode {
     let map = match ShardMap::partition(pool, config.shards) {
         Ok(map) => map,
