@@ -66,7 +66,8 @@ fn row(name: &str, seed: u64, json: &str, headline: (usize, usize, u64)) -> Stri
 fn push_rows(
     rows: &mut Vec<String>,
     pretty: &mut Vec<String>,
-    (name, seed): (&str, u64),
+    name: &str,
+    seed: u64,
     report: &impl Serialize,
     headline: (usize, usize, u64),
 ) {
@@ -194,7 +195,7 @@ fn fresh_table() -> String {
                 report.completed,
                 report.p99_reception_latency,
             );
-            push_rows(&mut rows, &mut pretty, (name, seed), &report, headline);
+            push_rows(&mut rows, &mut pretty, name, seed, &report, headline);
         }
         for (name, config, churn) in sharded_cases(seed) {
             let mut pattern = ShardedPattern::poisson(12.0, 6, 0.2);
@@ -209,7 +210,7 @@ fn fresh_table() -> String {
                 report.total.completed,
                 report.total.p99_reception_latency,
             );
-            push_rows(&mut rows, &mut pretty, (name, seed), &report, headline);
+            push_rows(&mut rows, &mut pretty, name, seed, &report, headline);
         }
     }
     rows.append(&mut pretty);
